@@ -8,14 +8,33 @@
 // Paper shape: Q_c is noticeably slower than conventional (every statistic
 // is computed online), but the absolute time stays bounded because small
 // contexts mean selective predicate lists, which skip pointers exploit.
+//
+// A second table prices the straightforward plan against its own context
+// conjunction on the same pool: StraightforwardCollectionStats with every
+// keyword over the same call with no keywords, interleaved query by query
+// so host drift cancels. The plan materializes D_P once and joins each
+// keyword list with it, so the ratio stays near 1 + k × (cost of a 2-way
+// join ÷ cost of the m-way conjunction). With `--json <path>` it is
+// written as a `context_set` section for tools/check_bench_regression.py
+// --context-set-bench (perf_smoke_context_set ctest lane).
+//
+// Scale with CSR_BENCH_DOCS (default 120k docs).
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "eval/query_gen.h"
+#include "stats/collector.h"
+#include "stats/statistics.h"
+#include "util/timer.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace csr;
+  std::string json_path = bench::TakeJsonFlag(&argc, argv);
   uint32_t num_docs = bench::BenchNumDocs();
   auto engine = bench::BuildBenchEngine(num_docs);
   uint64_t t_c = engine->context_threshold();
@@ -31,6 +50,7 @@ int main() {
   std::printf("%-10s %14s %14s %10s\n", "#keywords", "conv (ms)",
               "Qc (ms)", "slowdown");
 
+  std::vector<std::vector<ContextQuery>> pool(6);
   for (uint32_t nk = 2; nk <= 5; ++nk) {
     WorkloadGenerator gen(engine.get(), 2000 + nk);
     auto queries =
@@ -42,6 +62,7 @@ int main() {
 
     double conv_ms = 0, ctx_ms = 0;
     for (const auto& wq : queries) {
+      pool[nk].push_back(wq.query);
       double c = 0, x = 0;
       for (int rep = 0; rep < kRepeats; ++rep) {
         auto rc = engine->Search(wq.query, EvaluationMode::kConventional);
@@ -60,5 +81,80 @@ int main() {
   }
   std::printf("\nExpected shape: Q_c slower than conventional (stats "
               "computed online) but bounded in absolute terms.\n");
+
+  // -- Straightforward plan vs its context conjunction --------------------
+  // Per query, the fastest of kProbeRepeats interleaved runs of each call
+  // (the minimum filters out host preemption); the ratio is of the sums.
+  const int kProbeRepeats = 7;
+  const InvertedIndex& content = engine->content_index();
+  const InvertedIndex& predicate = engine->predicate_index();
+  double conj_total = 0, sf_total = 0;
+  uint64_t probed = 0, mismatches = 0;
+  std::printf("\n=== Straightforward plan vs its context conjunction "
+              "(fastest of %d interleaved runs per query) ===\n\n",
+              kProbeRepeats);
+  std::printf("%-10s %14s %16s %10s\n", "#keywords", "conj (ms)",
+              "all kw (ms)", "ratio");
+  for (uint32_t nk = 2; nk <= 5; ++nk) {
+    double conj_nk = 0, sf_nk = 0;
+    for (const ContextQuery& q : pool[nk]) {
+      std::vector<TermId> keywords =
+          QueryStats::FromKeywords(q.keywords).keywords;
+      double conj_best = std::numeric_limits<double>::infinity();
+      double sf_best = conj_best;
+      CollectionStats conj, sf;
+      for (int rep = 0; rep < kProbeRepeats; ++rep) {
+        WallTimer timer;
+        conj = StraightforwardCollectionStats(content, predicate, q.context,
+                                              {});
+        conj_best = std::min(conj_best, timer.ElapsedMillis());
+        timer.Restart();
+        sf = StraightforwardCollectionStats(content, predicate, q.context,
+                                            keywords);
+        sf_best = std::min(sf_best, timer.ElapsedMillis());
+      }
+      if (conj.cardinality != sf.cardinality ||
+          conj.total_length != sf.total_length) {
+        ++mismatches;
+      }
+      conj_nk += conj_best;
+      sf_nk += sf_best;
+      ++probed;
+    }
+    conj_total += conj_nk;
+    sf_total += sf_nk;
+    if (!pool[nk].empty()) {
+      size_t n = pool[nk].size();
+      std::printf("%-10u %14.4f %16.4f %9.2fx\n", nk, conj_nk / n, sf_nk / n,
+                  conj_nk > 0 ? sf_nk / conj_nk : 0.0);
+    }
+  }
+  double ratio = conj_total > 0 ? sf_total / conj_total : 0.0;
+  std::printf("%-10s %14.4f %16.4f %9.2fx\n", "all",
+              probed > 0 ? conj_total / probed : 0.0,
+              probed > 0 ? sf_total / probed : 0.0, ratio);
+  std::printf("\nGate: all-keywords / no-keywords ratio <= 2.0 "
+              "(one m-way conjunction + k 2-way joins with D_P).\n");
+
+  if (!json_path.empty()) {
+    bench::JsonWriter w;
+    w.Open();
+    w.OpenObject("context_set");
+    w.Field("workload", std::string("fig8_small_contexts"));
+    w.Field("num_docs", static_cast<uint64_t>(num_docs));
+    w.Field("context_threshold", t_c);
+    w.Field("queries", probed);
+    w.Field("repeats", static_cast<uint64_t>(kProbeRepeats));
+    w.Field("conj_ms_mean", probed > 0 ? conj_total / probed : 0.0);
+    w.Field("straightforward_ms_mean", probed > 0 ? sf_total / probed : 0.0);
+    w.Field("straightforward_over_conj", ratio);
+    w.Field("cardinality_mismatches", mismatches);
+    w.CloseObject();
+    w.Close();
+    if (Status s = w.WriteFile(json_path); !s.ok()) {
+      std::fprintf(stderr, "json write failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+  }
   return 0;
 }

@@ -1062,8 +1062,24 @@ CollectionStats ContextSearchEngine::FoldGlobalStats(
 CollectionStats ContextSearchEngine::ComputeContextStats(
     const ContextQuery& query, const QueryStats& qstats, bool with_views,
     SearchMetrics& metrics, ScanGuard* guard,
-    std::span<const SearchPart> parts, TraceContext tctx) const {
+    std::span<const SearchPart> parts,
+    std::vector<std::optional<ContextSet>>& sets, TraceContext tctx) const {
   bool need_tc = ranking_->NeedsTermCounts();
+  sets.assign(parts.size(), std::nullopt);
+
+  // The straightforward plan over one part. Its D_P is kept for retrieval
+  // unless a guard trip left it partial.
+  auto straightforward_part = [&](const SearchPart& part,
+                                  TraceContext ptx) -> CollectionStats {
+    ContextSet set;
+    CollectionStats ps = StraightforwardCollectionStats(
+        *part.content, *part.predicate, query.context, qstats.keywords,
+        need_tc, &metrics.cost, part.years, query.years, guard, ptx, &set);
+    if (set.complete()) {
+      sets[static_cast<size_t>(&part - parts.data())] = std::move(set);
+    }
+    return ps;
+  };
 
   auto straightforward_plan = [&](std::string_view reason) {
     metrics.plan = "stats: straightforward (Figure 3): gamma over ";
@@ -1094,14 +1110,9 @@ CollectionStats ContextSearchEngine::ComputeContextStats(
       CollectionStats ps;
       if (parts.size() > 1) {
         SpanGuard pspan(ptx, "segment:" + std::to_string(part.segment_id));
-        ps = StraightforwardCollectionStats(
-            *part.content, *part.predicate, query.context, qstats.keywords,
-            need_tc, &metrics.cost, part.years, query.years, guard,
-            pspan.ctx());
+        ps = straightforward_part(part, pspan.ctx());
       } else {
-        ps = StraightforwardCollectionStats(
-            *part.content, *part.predicate, query.context, qstats.keywords,
-            need_tc, &metrics.cost, part.years, query.years, guard, ptx);
+        ps = straightforward_part(part, ptx);
       }
       total.cardinality += ps.cardinality;
       total.total_length += ps.total_length;
@@ -1163,7 +1174,7 @@ CollectionStats ContextSearchEngine::ComputeContextStats(
         stats.df.assign(qstats.keywords.size(), 0);
         if (need_tc) stats.tc.assign(qstats.keywords.size(), 0);
         std::vector<bool> covered;
-        std::vector<const SearchPart*> view_served;
+        std::vector<SearchPart> view_served;
         uint64_t stale_parts = 0;
         for (const SearchPart& part : parts) {
           uint32_t part_docs =
@@ -1190,17 +1201,14 @@ CollectionStats ContextSearchEngine::ComputeContextStats(
               stats.df[i] += vr.df[i];
               if (need_tc) stats.tc[i] += vr.tc[i];
             }
-            view_served.push_back(&part);
+            view_served.push_back(part);
             continue;
           }
           ++stale_parts;
           SpanGuard pspan(span.ctx(),
                           "segment:" + std::to_string(part.segment_id) +
                               ":straightforward");
-          CollectionStats ps = StraightforwardCollectionStats(
-              *part.content, *part.predicate, query.context,
-              qstats.keywords, need_tc, &metrics.cost, part.years,
-              query.years, guard, pspan.ctx());
+          CollectionStats ps = straightforward_part(part, pspan.ctx());
           stats.cardinality += ps.cardinality;
           stats.total_length += ps.total_length;
           for (size_t i = 0; i < ps.df.size(); ++i) stats.df[i] += ps.df[i];
@@ -1221,37 +1229,9 @@ CollectionStats ContextSearchEngine::ComputeContextStats(
         // Keywords without a parameter column are computed at query time —
         // over the VIEW-SERVED parts only (straightforward-served parts
         // already returned full per-keyword statistics above).
-        uint32_t uncovered = 0;
-        for (size_t i = 0; i < qstats.keywords.size(); ++i) {
-          if (covered.empty() || covered[i]) continue;
-          ++uncovered;
-          uint64_t df = 0;
-          uint64_t tc = 0;
-          for (const SearchPart* part : view_served) {
-            std::vector<PostingCursor> cursors;
-            cursors.push_back(
-                part->content->cursor(qstats.keywords[i], &metrics.cost));
-            if (!cursors.back().valid()) continue;
-            bool ok = true;
-            for (TermId m : query.context) {
-              cursors.push_back(part->predicate->cursor(m, &metrics.cost));
-              if (!cursors.back().valid()) {
-                ok = false;
-                break;
-              }
-            }
-            if (!ok) continue;
-            ConjunctionIterator it(std::move(cursors), guard);
-            for (; !it.AtEnd(); it.Next()) {
-              if (!query.years.Contains(part->years[it.doc()])) continue;
-              ++df;
-              tc += it.tf(0);
-            }
-            if (guard != nullptr && guard->tripped()) break;
-          }
-          stats.df[i] += df;
-          if (need_tc) stats.tc[i] += tc;
-        }
+        uint32_t uncovered =
+            AddUncoveredKeywordStats(query, qstats, covered, view_served,
+                                     metrics.cost, guard, span.ctx(), stats);
         metrics.keywords_uncovered_by_view = uncovered;
         if (uncovered > 0) {
           metrics.plan +=
@@ -1387,62 +1367,55 @@ CollectionStats ContextSearchEngine::ComputeContextStats(
   span.Attr("view_tuples_scanned", metrics.view_tuples_scanned);
 
   // Keywords without a parameter column (|L_w| < T_C) are computed at
-  // query time; their short lists make this cheap (Section 6.2). Cursors
-  // are single-pass, so each keyword's conjunction gets a fresh set per
-  // part.
-  for (size_t i = 0; i < qstats.keywords.size(); ++i) {
-    if (!covered.empty() && covered[i]) continue;
-    metrics.keywords_uncovered_by_view++;
-    SpanGuard kspan(span.ctx(), "intersect:df");
-    CostCounters before;
-    if (kspan) {
-      before = metrics.cost;
-      kspan.Attr("keyword", static_cast<uint64_t>(qstats.keywords[i]));
-      kspan.Attr("lists",
-                 static_cast<uint64_t>(query.context.size() + 1));
-    }
-    uint64_t df = 0;
-    uint64_t tc = 0;
-    bool strategy_attr = false;
-    for (const SearchPart& part : parts) {
-      std::vector<PostingCursor> cursors;
-      cursors.push_back(
-          part.content->cursor(qstats.keywords[i], &metrics.cost));
-      if (!cursors.back().valid()) continue;
-      bool ok = true;
-      for (TermId m : query.context) {
-        cursors.push_back(part.predicate->cursor(m, &metrics.cost));
-        if (!cursors.back().valid()) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      ConjunctionIterator it(std::move(cursors), guard);
-      if (kspan && !strategy_attr) {
-        kspan.Attr("strategy", it.StrategyMix());
-        strategy_attr = true;
-      }
-      for (; !it.AtEnd(); it.Next()) {
-        if (!query.years.Contains(part.years[it.doc()])) continue;
-        ++df;
-        tc += it.tf(0);
-      }
-      if (guard != nullptr && guard->tripped()) break;
-    }
-    stats.df[i] = df;
-    if (need_tc) stats.tc[i] = tc;
-    if (kspan) {
-      kspan.Attr("df", df);
-      AttrIntersectionCostDelta(kspan.get(), metrics.cost, before);
-    }
-  }
+  // query time; their short lists make this cheap (Section 6.2). No
+  // ContextSet is built for them: the L_w-driven join touches less than
+  // materializing a large D_P would.
+  metrics.keywords_uncovered_by_view = AddUncoveredKeywordStats(
+      query, qstats, covered, parts, metrics.cost, guard, span.ctx(), stats);
   if (metrics.keywords_uncovered_by_view > 0) {
     metrics.plan += " + " +
                     std::to_string(metrics.keywords_uncovered_by_view) +
                     " query-time df intersection(s) for untracked keywords";
   }
   return stats;
+}
+
+uint32_t ContextSearchEngine::AddUncoveredKeywordStats(
+    const ContextQuery& query, const QueryStats& qstats,
+    const std::vector<bool>& covered,
+    std::span<const SearchPart> parts, CostCounters& cost,
+    ScanGuard* guard, TraceContext tctx, CollectionStats& stats) const {
+  const bool need_tc = ranking_->NeedsTermCounts();
+  uint32_t uncovered = 0;
+  for (size_t i = 0; i < qstats.keywords.size(); ++i) {
+    if (covered.empty() || covered[i]) continue;
+    ++uncovered;
+    const TermId w = qstats.keywords[i];
+    SpanGuard kspan(tctx, "intersect:df");
+    CostCounters before;
+    std::string strategy;
+    if (kspan) before = cost;
+    KeywordCounts total;
+    for (const SearchPart& part : parts) {
+      KeywordCounts c = CountKeywordInContext(
+          *part.content, *part.predicate, query.context, w, need_tc, &cost,
+          part.years, query.years, guard,
+          kspan && strategy.empty() ? &strategy : nullptr);
+      total.df += c.df;
+      total.tc += c.tc;
+      if (guard != nullptr && guard->tripped()) break;
+    }
+    stats.df[i] += total.df;
+    if (need_tc) stats.tc[i] += total.tc;
+    if (kspan) {
+      kspan.Attr("keyword", static_cast<uint64_t>(w));
+      kspan.Attr("lists", static_cast<uint64_t>(query.context.size() + 1));
+      if (!strategy.empty()) kspan.Attr("strategy", strategy);
+      kspan.Attr("df", total.df);
+      AttrIntersectionCostDelta(kspan.get(), cost, before);
+    }
+  }
+  return uncovered;
 }
 
 namespace {
@@ -1586,10 +1559,9 @@ Status ContextSearchEngine::SearchStats(PreparedSearch& ps) const {
           result.metrics.plan = "stats: LRU cache hit";
           stats_span.Attr("plan", "cache-hit");
         } else {
-          result.stats =
-              ComputeContextStats(ps.query, ps.qstats, with_views,
-                                  result.metrics, &ps.guard, ps.parts,
-                                  stats_span.ctx());
+          result.stats = ComputeContextStats(
+              ps.query, ps.qstats, with_views, result.metrics, &ps.guard,
+              ps.parts, ps.context_sets, stats_span.ctx());
           if (ps.guard.tripped()) {
             // Degradation rung 2: context statistics are partial, therefore
             // unusable — rank with the (precomputed, exact) global
@@ -1659,21 +1631,37 @@ Status ContextSearchEngine::SearchIntersect(PreparedSearch& ps) const {
   // Per-part cursor sets: a keyword missing from one segment's dictionary
   // only rules that segment out. Parts are iterated in ascending docid
   // order through ONE shared collector, so ties resolve exactly as they
-  // would over a flattened index.
+  // would over a flattened index. A part whose D_P the stats phase
+  // materialized joins the keyword lists with that set (already
+  // year-filtered) instead of re-joining its m predicate lists.
   std::vector<std::pair<const SearchPart*, std::vector<PostingCursor>>> ready;
-  for (const SearchPart& part : ps.parts) {
+  for (size_t p = 0; p < ps.parts.size(); ++p) {
+    const SearchPart& part = ps.parts[p];
+    const ContextSet* set = p < ps.context_sets.size() &&
+                                    ps.context_sets[p].has_value()
+                                ? &*ps.context_sets[p]
+                                : nullptr;
     std::vector<PostingCursor> cursors;
     bool part_empty = false;
     for (TermId w : ps.qstats.keywords) {
       cursors.push_back(part.content->cursor(w, &result.metrics.cost));
       if (!cursors.back().valid()) part_empty = true;
     }
-    for (TermId m : ps.query.context) {
-      cursors.push_back(part.predicate->cursor(m, &result.metrics.cost));
+    if (set != nullptr) {
+      cursors.push_back(set->cursor(&result.metrics.cost));
       if (!cursors.back().valid()) part_empty = true;
+    } else {
+      for (TermId m : ps.query.context) {
+        cursors.push_back(part.predicate->cursor(m, &result.metrics.cost));
+        if (!cursors.back().valid()) part_empty = true;
+      }
     }
-    if (!part_empty) ready.emplace_back(&part, std::move(cursors));
+    if (!part_empty) {
+      ready.emplace_back(&part, std::move(cursors));
+      if (set != nullptr) ++ps.set_parts;
+    }
   }
+  ps.joined_parts = ready.size();
 
   if (!ready.empty()) {
     SpanGuard ispan(retrieval_span.ctx(), "intersect:retrieval");
@@ -1688,6 +1676,7 @@ Status ContextSearchEngine::SearchIntersect(PreparedSearch& ps) const {
         ispan.Attr("strategy", it.StrategyMix());
         ispan.Attr("scoring", ranking_->name());
         ispan.Attr("top_k", static_cast<uint64_t>(config_.top_k));
+        ispan.Attr("context_set", static_cast<uint64_t>(ps.set_parts));
         if (ready.size() > 1) {
           ispan.Attr("segments", static_cast<uint64_t>(ready.size()));
         }
@@ -1753,11 +1742,25 @@ Result<SearchResult> ContextSearchEngine::FinishSearch(
 
   result.metrics.retrieval_ms += score_timer.ElapsedMillis();
   result.metrics.total_ms = ps.total_timer.ElapsedMillis();
-  result.metrics.plan += "; retrieval: " +
-                         std::to_string(ps.qstats.keywords.size() +
-                                        ps.query.context.size()) +
-                         "-way conjunction, most selective first, top-" +
-                         std::to_string(config_.top_k);
+  // Parts whose D_P the stats phase kept join k + 1 lists; the others
+  // (view hits, stats-cache hits, conventional mode) join k + m.
+  const size_t k = ps.qstats.keywords.size();
+  const std::string with_lists =
+      std::to_string(k + ps.query.context.size()) + "-way conjunction";
+  result.metrics.plan += "; retrieval: ";
+  if (ps.set_parts == 0) {
+    result.metrics.plan += with_lists;
+  } else {
+    result.metrics.plan +=
+        std::to_string(k + 1) + "-way conjunction with the context set";
+    if (ps.set_parts < ps.joined_parts) {
+      result.metrics.plan += " on " + std::to_string(ps.set_parts) + " of " +
+                             std::to_string(ps.joined_parts) +
+                             " parts, else " + with_lists;
+    }
+  }
+  result.metrics.plan +=
+      ", most selective first, top-" + std::to_string(config_.top_k);
   if (ps.retrieval_aborted) result.metrics.plan += " (partial)";
   if (ps.record) RecordQueryMetrics(result.metrics, ps.mode, /*failed=*/false);
   if (ps.trace != nullptr) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "selection/adaptive.h"
 #include "selection/hybrid.h"
 #include "stats/collector.h"
+#include "stats/context_set.h"
 #include "util/result.h"
 #include "util/retry.h"
 #include "views/view_builder.h"
@@ -254,6 +256,15 @@ struct PreparedSearch {
   std::vector<Match> pending;
   std::vector<uint32_t> pending_tfs;  // pending.size() x unique keywords
   bool retrieval_aborted = false;
+  /// D_P per part as SearchStats' straightforward plan built it, indexed
+  /// like `parts`; SearchIntersect joins the keyword lists with a part's
+  /// set instead of its predicate lists. Empty for parts served by a view,
+  /// a stats-cache hit, or conventional mode; only complete sets are kept.
+  std::vector<std::optional<ContextSet>> context_sets;
+  /// Set by SearchIntersect: how many of the parts with a conjunction to
+  /// run joined with their context set instead of their predicate lists.
+  size_t set_parts = 0;
+  size_t joined_parts = 0;
 };
 
 /// The system of the paper, end to end: inverted indexes over content and
@@ -536,13 +547,27 @@ class ContextSearchEngine {
   static Result<std::unique_ptr<ContextSearchEngine>> Finish(
       std::unique_ptr<ContextSearchEngine> engine);
 
-  CollectionStats ComputeContextStats(const ContextQuery& query,
-                                      const QueryStats& qstats,
-                                      bool with_views,
-                                      SearchMetrics& metrics,
-                                      ScanGuard* guard,
-                                      std::span<const SearchPart> parts,
-                                      TraceContext tctx = {}) const;
+  /// Context statistics by the cheapest usable plan. Every part the
+  /// straightforward plan serves leaves its complete ContextSet in
+  /// `sets[part index]` (sized to `parts`) for retrieval to reuse.
+  CollectionStats ComputeContextStats(
+      const ContextQuery& query, const QueryStats& qstats, bool with_views,
+      SearchMetrics& metrics, ScanGuard* guard,
+      std::span<const SearchPart> parts,
+      std::vector<std::optional<ContextSet>>& sets,
+      TraceContext tctx = {}) const;
+
+  /// Query-time df (and tc) of the keywords the view's parameter columns
+  /// do not cover (`covered[i]` false), summed over the view-served
+  /// `parts` into `stats`, one "intersect:df" span per keyword. Returns
+  /// how many keywords that was.
+  uint32_t AddUncoveredKeywordStats(const ContextQuery& query,
+                                    const QueryStats& qstats,
+                                    const std::vector<bool>& covered,
+                                    std::span<const SearchPart> parts,
+                                    CostCounters& cost, ScanGuard* guard,
+                                    TraceContext tctx,
+                                    CollectionStats& stats) const;
 
   /// Conventional-ranking statistics folded over every part (integer sums
   /// of the per-part precomputed global statistics).

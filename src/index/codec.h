@@ -12,6 +12,7 @@
 
 #include "index/cost_model.h"
 #include "index/posting_list.h"
+#include "index/scan_guard.h"
 #include "util/result.h"
 #include "util/types.h"
 
@@ -433,6 +434,41 @@ uint64_t ScanPairwiseIntersection(const CompressedPostingList& a,
                                   const CompressedPostingList& b,
                                   CostCounters* cost_a, CostCounters* cost_b,
                                   const std::function<void(DocId)>& on_match);
+/// Same scan, handing the matches over in ascending runs of up to
+/// kPairwiseBatch docids, so a caller's per-match work can be inlined into
+/// its own loop instead of paying one indirect call per match.
+inline constexpr size_t kPairwiseBatch = 256;
+uint64_t ScanPairwiseIntersectionBatches(
+    const CompressedPostingList& a, const CompressedPostingList& b,
+    CostCounters* cost_a, CostCounters* cost_b,
+    const std::function<void(std::span<const DocId>)>& on_batch);
+
+/// Outcome of JoinRunWithList: how many run docids the list holds, the
+/// sum of their tfs in the list (when asked for), and whether the guard
+/// tripped, in which case both counts are partial and must not be used.
+struct RunJoinResult {
+  uint64_t matches = 0;
+  uint64_t tf_sum = 0;
+  bool aborted = false;
+};
+
+/// The 2-way join of a strictly increasing docid run (a materialized
+/// context set) with one compressed list, by one forward walk over the
+/// list's blocks: each block is paired with the run docids inside its
+/// range, blocks none fall in are skipped undecoded, a bitmap block is
+/// probed by O(1) bit tests without expansion (unless `with_tf` needs
+/// positions or the window outnumbers the block), and any other block is
+/// decoded once and intersected by galloping the smaller side through the
+/// larger. Probes and decode bytes are charged to `cost`.
+///
+/// `guard` ticks once per docid of the shorter side (the run on a tie)
+/// that is no greater than the longer side's last docid, charged block by
+/// block before the block is probed. The count depends on the docids
+/// alone, so a budget trips at the same point whichever representation
+/// backs the list (ContextSet::IntersectWith ticks plain lists the same).
+RunJoinResult JoinRunWithList(std::span<const Posting> run,
+                              const CompressedPostingList& list, bool with_tf,
+                              CostCounters* cost, ScanGuard* guard);
 
 /// Counts the intersection of two compressed lists; exercised by tests
 /// and the codec ablation. Delegates to CountPairwiseIntersection.

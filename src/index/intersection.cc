@@ -157,21 +157,12 @@ uint64_t CountIntersection(std::span<const PostingList* const> lists,
   return n;
 }
 
-namespace {
-
-/// True when the 2-way, fully-compressed, guard-free case can dispatch to
-/// the block-pairwise kernel (merge / gallop / bitmap-AND chosen by
-/// ChooseIntersectStrategy). Guarded scans must keep the leapfrog so
-/// ScanGuard ticks once per candidate — budget, deadline, and fault
-/// injection semantics stay exact.
 bool PairwiseEligible(const std::vector<PostingCursor>& cursors,
                       ScanGuard* guard) {
   return guard == nullptr && cursors.size() == 2 && cursors[0].valid() &&
          cursors[1].valid() && cursors[0].packed_source() != nullptr &&
          cursors[1].packed_source() != nullptr;
 }
-
-}  // namespace
 
 uint64_t CountIntersection(std::vector<PostingCursor> cursors,
                            ScanGuard* guard) {
@@ -201,30 +192,6 @@ AggregationResult IntersectAndAggregate(
   return agg;
 }
 
-AggregationResult IntersectAndAggregate(
-    std::vector<PostingCursor> cursors,
-    std::span<const uint32_t> doc_lengths, CostCounters* cost,
-    ScanGuard* guard) {
-  AggregationResult agg;
-  if (PairwiseEligible(cursors, guard)) {
-    ScanPairwiseIntersection(
-        *cursors[0].packed_source(), *cursors[1].packed_source(),
-        cursors[0].cost(), cursors[1].cost(), [&](DocId d) {
-          agg.count++;
-          agg.sum_len += d < doc_lengths.size() ? doc_lengths[d] : 0;
-          if (cost != nullptr) cost->aggregation_entries++;
-        });
-    return agg;
-  }
-  for (ConjunctionIterator it(std::move(cursors), guard); !it.AtEnd();
-       it.Next()) {
-    agg.count++;
-    agg.sum_len += doc_lengths[it.doc()];
-    if (cost != nullptr) cost->aggregation_entries++;
-  }
-  return agg;
-}
-
 std::string StrategyMixForSizes(std::vector<uint64_t> sizes) {
   if (sizes.size() < 2) return "none";
   std::sort(sizes.begin(), sizes.end());
@@ -246,18 +213,6 @@ void AttrIntersectionCostDelta(TraceSpan* span, const CostCounters& after,
   span->Attr("skips_taken", after.skips_taken - before.skips_taken);
   span->Attr("bytes_touched", after.bytes_touched - before.bytes_touched);
   span->Attr("blocks_skipped", after.blocks_skipped - before.blocks_skipped);
-}
-
-uint64_t CountContaining(std::span<const DocId> sorted_docs,
-                         const PostingList& list, CostCounters* cost) {
-  uint64_t n = 0;
-  auto it = list.MakeIterator(cost);
-  for (DocId d : sorted_docs) {
-    it.SkipTo(d);
-    if (it.AtEnd()) break;
-    if (it.doc() == d) ++n;
-  }
-  return n;
 }
 
 }  // namespace csr

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index/cost_model.h"
@@ -112,16 +113,44 @@ AggregationResult IntersectAndAggregate(
     std::span<const PostingList* const> lists,
     std::span<const uint32_t> doc_lengths, CostCounters* cost = nullptr,
     ScanGuard* guard = nullptr);
-AggregationResult IntersectAndAggregate(
-    std::vector<PostingCursor> cursors,
-    std::span<const uint32_t> doc_lengths, CostCounters* cost = nullptr,
-    ScanGuard* guard = nullptr);
 
-/// Counts how many docids in `sorted_docs` appear in `list` (merge with
-/// skips). Used to compute df(w, D_P) against a materialized context.
-uint64_t CountContaining(std::span<const DocId> sorted_docs,
-                         const PostingList& list,
-                         CostCounters* cost = nullptr);
+/// True when a conjunction over `cursors` can run on the guard-free
+/// block-pairwise kernel: exactly two valid compressed cursors and no
+/// guard. Guarded scans keep the leapfrog so ScanGuard ticks once per
+/// candidate — budget, deadline, and fault-injection semantics stay exact.
+bool PairwiseEligible(const std::vector<PostingCursor>& cursors,
+                      ScanGuard* guard);
+
+/// Calls `on_match(doc)` for every document of ∩ cursors, in increasing
+/// docid order: through the pairwise kernel when PairwiseEligible, by a
+/// plain walk of a single cursor, else through a ConjunctionIterator; the
+/// last two charge `guard` once per candidate. Returns true when the
+/// guard tripped, i.e. the matches seen are a prefix of the conjunction.
+template <typename OnMatch>
+bool ScanConjunction(std::vector<PostingCursor> cursors, ScanGuard* guard,
+                     OnMatch&& on_match) {
+  if (PairwiseEligible(cursors, guard)) {
+    ScanPairwiseIntersectionBatches(
+        *cursors[0].packed_source(), *cursors[1].packed_source(),
+        cursors[0].cost(), cursors[1].cost(),
+        [&on_match](std::span<const DocId> docs) {
+          for (DocId d : docs) on_match(d);
+        });
+    return false;
+  }
+  if (cursors.size() == 1) {
+    // One list is its own conjunction: walk it, ticking per posting as the
+    // leapfrog would, without the leapfrog's per-candidate bookkeeping.
+    for (PostingCursor& c = cursors[0]; !c.AtEnd(); c.Next()) {
+      if (guard != nullptr && guard->Tick()) return true;
+      on_match(c.doc());
+    }
+    return false;
+  }
+  ConjunctionIterator it(std::move(cursors), guard);
+  for (; !it.AtEnd(); it.Next()) on_match(it.doc());
+  return it.aborted();
+}
 
 /// The strategy mix a ConjunctionIterator would pick for cursors of these
 /// sizes (same choice rule as its Init). Lets tracing attribute the

@@ -1,17 +1,8 @@
 #include "index/posting_list.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace csr {
-
-void PostingList::Append(DocId doc, uint32_t tf) {
-  assert(postings_.empty() || postings_.back().doc < doc);
-  postings_.push_back(Posting{doc, tf});
-  total_tf_ += tf;
-  if (tf > max_tf_) max_tf_ = tf;
-  finished_ = false;
-}
 
 void PostingList::FinishBuild() {
   if (finished_) return;
@@ -20,12 +11,16 @@ void PostingList::FinishBuild() {
   size_t num_segments = (postings_.size() + segment_size_ - 1) / segment_size_;
   skip_.reserve(num_segments);
   skip_max_tf_.reserve(num_segments);
+  // Every tf equals max_tf_ exactly when they sum to size * max_tf_ (a
+  // context set's tf = 1 postings): then no segment needs a max-tf scan.
+  const bool uniform_tf =
+      total_tf_ == static_cast<uint64_t>(postings_.size()) * max_tf_;
   for (size_t k = 0; k < num_segments; ++k) {
     size_t begin = k * segment_size_;
     size_t end = std::min(postings_.size(), (k + 1) * segment_size_);
     skip_.push_back(postings_[end - 1].doc);
-    uint32_t seg_max = 0;
-    for (size_t i = begin; i < end; ++i) {
+    uint32_t seg_max = uniform_tf ? max_tf_ : 0;
+    for (size_t i = uniform_tf ? end : begin; i < end; ++i) {
       seg_max = std::max(seg_max, postings_[i].tf);
     }
     skip_max_tf_.push_back(seg_max);

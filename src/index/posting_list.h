@@ -1,8 +1,10 @@
 #ifndef CSR_INDEX_POSTING_LIST_H_
 #define CSR_INDEX_POSTING_LIST_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "index/cost_model.h"
@@ -42,7 +44,17 @@ class PostingList {
 
   /// Appends a posting. docids must strictly increase; violations are
   /// ignored in release builds and asserted in debug builds.
-  void Append(DocId doc, uint32_t tf);
+  void Append(DocId doc, uint32_t tf) {
+    assert(postings_.empty() || postings_.back().doc < doc);
+    postings_.push_back(Posting{doc, tf});
+    total_tf_ += tf;
+    if (tf > max_tf_) max_tf_ = tf;
+    finished_ = false;
+  }
+
+  /// Reserves room for `n` postings, so a caller that knows an upper bound
+  /// on the list's length appends without reallocating.
+  void Reserve(size_t n) { postings_.reserve(n); }
 
   /// Finalizes the skip structure. Must be called after the last Append and
   /// before iteration. Idempotent.
@@ -52,6 +64,7 @@ class PostingList {
   bool empty() const { return postings_.empty(); }
   uint32_t segment_size() const { return segment_size_; }
   const Posting& at(size_t i) const { return postings_[i]; }
+  std::span<const Posting> postings() const { return postings_; }
   uint64_t total_tf() const { return total_tf_; }
 
   /// Largest tf in the list; feeds WAND score upper bounds.

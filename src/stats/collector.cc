@@ -1,5 +1,7 @@
 #include "stats/collector.h"
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "index/intersection.h"
@@ -24,104 +26,88 @@ CollectionStats StraightforwardCollectionStats(
     const InvertedIndex& content_index, const InvertedIndex& predicate_index,
     std::span<const TermId> context, std::span<const TermId> keywords,
     bool compute_tc, CostCounters* cost, std::span<const uint16_t> years,
-    YearRange range, ScanGuard* guard, TraceContext tctx) {
+    YearRange range, ScanGuard* guard, TraceContext tctx,
+    ContextSet* set_out) {
   CollectionStats stats;
   const bool tracing = tctx.active() && cost != nullptr;
-  auto year_ok = [&](DocId d) {
-    return !range.active() || (d < years.size() && range.Contains(years[d]));
-  };
 
-  // Cursors are single-pass, so every conjunction below opens fresh ones.
-  // A missing context list means an unsatisfiable context.
-  bool empty_context = false;
-  for (TermId m : context) {
-    if (predicate_index.df(m) == 0) empty_context = true;
-  }
-  auto context_cursors = [&]() {
-    std::vector<PostingCursor> cursors;
-    cursors.reserve(context.size());
-    for (TermId m : context) {
-      cursors.push_back(predicate_index.cursor(m, cost));
-    }
-    return cursors;
-  };
-  auto list_sizes = [&](TermId keyword, bool with_keyword) {
-    std::vector<uint64_t> sizes;
-    if (with_keyword) sizes.push_back(content_index.df(keyword));
-    for (TermId m : context) sizes.push_back(predicate_index.df(m));
-    return sizes;
-  };
-
-  if (!empty_context) {
+  // D_P, with γ_count and γ_sum(len) over L_m1 ∩ ... ∩ L_mc (Figure 3,
+  // bottom) and the optional year predicate applied as it is built. A
+  // missing context list means an unsatisfiable context: no join runs.
+  ContextSet set;
+  if (std::all_of(context.begin(), context.end(),
+                  [&](TermId m) { return predicate_index.df(m) != 0; })) {
     SpanGuard span(tctx, "intersect:context");
     CostCounters before;
     if (tracing) {
       before = *cost;
+      std::vector<uint64_t> sizes;
+      for (TermId m : context) sizes.push_back(predicate_index.df(m));
       span.Attr("lists", static_cast<uint64_t>(context.size()));
-      span.Attr("strategy", StrategyMixForSizes(list_sizes(0, false)));
+      span.Attr("strategy", StrategyMixForSizes(std::move(sizes)));
     }
-    // γ_count and γ_sum(len) over L_m1 ∩ ... ∩ L_mc (Figure 3, bottom),
-    // with the optional year predicate applied inside the aggregation.
-    if (!range.active()) {
-      AggregationResult agg = IntersectAndAggregate(
-          context_cursors(), content_index.doc_lengths(), cost, guard);
-      stats.cardinality = agg.count;
-      stats.total_length = agg.sum_len;
-    } else {
-      for (ConjunctionIterator it(context_cursors(), guard); !it.AtEnd();
-           it.Next()) {
-        if (!year_ok(it.doc())) continue;
-        stats.cardinality++;
-        stats.total_length += content_index.doc_length(it.doc());
-        if (cost != nullptr) cost->aggregation_entries++;
-      }
-    }
+    set = ContextSet::Build(content_index, predicate_index, context, cost,
+                            years, range, guard);
     if (tracing) {
-      span.Attr("cardinality", stats.cardinality);
+      span.Attr("cardinality", static_cast<uint64_t>(set.Size()));
       AttrIntersectionCostDelta(span.get(), *cost, before);
     }
   }
+  stats.cardinality = set.Size();
+  stats.total_length = set.total_length();
 
-  // df (and tc) per keyword: L_wi ∩ L_m1 ∩ ... ∩ L_mc.
+  // df (and tc) per keyword: L_wi ⋈ D_P.
   stats.df.reserve(keywords.size());
   if (compute_tc) stats.tc.reserve(keywords.size());
   for (TermId w : keywords) {
-    if (content_index.df(w) == 0 || empty_context ||
-        stats.cardinality == 0) {
-      stats.df.push_back(0);
-      if (compute_tc) stats.tc.push_back(0);
+    KeywordCounts counts;
+    if (content_index.df(w) != 0 && set.Size() != 0) {
+      SpanGuard span(tctx, "intersect:df");
+      CostCounters before;
+      std::string strategy;
+      if (tracing) before = *cost;
+      counts = set.IntersectWith(content_index.cursor(w, cost), compute_tc,
+                                 guard, tracing ? &strategy : nullptr);
+      if (tracing) {
+        span.Attr("keyword", static_cast<uint64_t>(w));
+        span.Attr("lists", static_cast<uint64_t>(2));
+        span.Attr("strategy", strategy);
+        span.Attr("df", counts.df);
+        AttrIntersectionCostDelta(span.get(), *cost, before);
+      }
+    }
+    stats.df.push_back(counts.df);
+    if (compute_tc) stats.tc.push_back(counts.tc);
+  }
+  if (set_out != nullptr) *set_out = std::move(set);
+  return stats;
+}
+
+KeywordCounts CountKeywordInContext(
+    const InvertedIndex& content_index, const InvertedIndex& predicate_index,
+    std::span<const TermId> context, TermId keyword, bool with_tc,
+    CostCounters* cost, std::span<const uint16_t> years, YearRange range,
+    ScanGuard* guard, std::string* strategy) {
+  KeywordCounts counts;
+  std::vector<PostingCursor> cursors;
+  cursors.reserve(context.size() + 1);
+  cursors.push_back(content_index.cursor(keyword, cost));
+  if (!cursors.back().valid()) return counts;
+  for (TermId m : context) {
+    cursors.push_back(predicate_index.cursor(m, cost));
+    if (!cursors.back().valid()) return counts;
+  }
+  ConjunctionIterator it(std::move(cursors), guard);
+  if (strategy != nullptr) *strategy = it.StrategyMix();
+  for (; !it.AtEnd(); it.Next()) {
+    DocId d = it.doc();
+    if (range.active() && !(d < years.size() && range.Contains(years[d]))) {
       continue;
     }
-    SpanGuard span(tctx, "intersect:df");
-    CostCounters before;
-    if (tracing) {
-      before = *cost;
-      span.Attr("keyword", static_cast<uint64_t>(w));
-      span.Attr("lists", static_cast<uint64_t>(context.size() + 1));
-      span.Attr("strategy", StrategyMixForSizes(list_sizes(w, true)));
-    }
-    std::vector<PostingCursor> cursors;
-    cursors.reserve(context.size() + 1);
-    cursors.push_back(content_index.cursor(w, cost));
-    for (TermId m : context) {
-      cursors.push_back(predicate_index.cursor(m, cost));
-    }
-    uint64_t df = 0;
-    uint64_t tc = 0;
-    for (ConjunctionIterator it(std::move(cursors), guard); !it.AtEnd();
-         it.Next()) {
-      if (!year_ok(it.doc())) continue;
-      ++df;
-      if (compute_tc) tc += it.tf(0);  // tf in L_w (caller order index 0)
-    }
-    stats.df.push_back(df);
-    if (compute_tc) stats.tc.push_back(tc);
-    if (tracing) {
-      span.Attr("df", df);
-      AttrIntersectionCostDelta(span.get(), *cost, before);
-    }
+    ++counts.df;
+    if (with_tc) counts.tc += it.tf(0);  // tf in L_w (caller order index 0)
   }
-  return stats;
+  return counts;
 }
 
 }  // namespace csr

@@ -2,11 +2,13 @@
 #define CSR_STATS_COLLECTOR_H_
 
 #include <span>
+#include <string>
 
 #include "index/cost_model.h"
 #include "index/inverted_index.h"
 #include "index/scan_guard.h"
 #include "obs/trace.h"
+#include "stats/context_set.h"
 #include "stats/statistics.h"
 #include "util/types.h"
 
@@ -18,11 +20,12 @@ CollectionStats GlobalCollectionStats(const InvertedIndex& content_index,
                                       std::span<const TermId> keywords);
 
 /// Computes S_c(D_P) exactly by the straightforward plan of Section 3.1
-/// (Figure 3): intersect the context predicate lists with aggregation
-/// (γ_count, γ_sum over document length), and intersect each keyword list
-/// with the context lists for df (and tc). This is both the baseline
-/// evaluation strategy the paper measures and the ground truth that
-/// view-based computation is tested against.
+/// (Figure 3): one conjunction of the context predicate lists materializes
+/// D_P as a ContextSet, with aggregation (γ_count, γ_sum over document
+/// length) on the way, and each keyword list is joined with the set for df
+/// (and tc). This is both the baseline evaluation strategy the paper
+/// measures and the ground truth that view-based computation is tested
+/// against.
 ///
 /// `context` must be non-empty and sorted. Cost counters, when supplied,
 /// are charged per the Section 3.2.1 model instrumentation.
@@ -37,16 +40,33 @@ CollectionStats GlobalCollectionStats(const InvertedIndex& content_index,
 /// silently usable.
 ///
 /// When `tctx` is active (the query is trace-sampled), every posting-list
-/// intersection records a child span — "intersect:context" for the γ
-/// aggregation, one "intersect:df" per keyword — carrying the cost-counter
+/// intersection records a child span — "intersect:context" for building
+/// the set, one "intersect:df" per keyword — carrying the cost-counter
 /// deltas (bytes_touched, blocks_skipped, ...) and the intersect strategy
 /// the cost model chose. Inactive contexts cost one null check per span.
+///
+/// When `set_out` is non-null it receives the set, for retrieval to join
+/// with instead of the predicate lists (check complete() first).
 CollectionStats StraightforwardCollectionStats(
     const InvertedIndex& content_index, const InvertedIndex& predicate_index,
     std::span<const TermId> context, std::span<const TermId> keywords,
     bool compute_tc = false, CostCounters* cost = nullptr,
     std::span<const uint16_t> years = {}, YearRange range = {},
-    ScanGuard* guard = nullptr, TraceContext tctx = {});
+    ScanGuard* guard = nullptr, TraceContext tctx = {},
+    ContextSet* set_out = nullptr);
+
+/// df(w, D_P) and (when `with_tc`) tc(w, D_P) of one keyword over one
+/// part by one (m+1)-way join of L_w with the context's predicate lists,
+/// under the year filter of `years`/`range` — no ContextSet is built. The
+/// view plans use it for keywords without a parameter column, whose short
+/// lists make driving with L_w cheaper than materializing D_P. When
+/// `strategy` is non-null and the join ran, it receives the join's
+/// strategy mix (tracing only).
+KeywordCounts CountKeywordInContext(
+    const InvertedIndex& content_index, const InvertedIndex& predicate_index,
+    std::span<const TermId> context, TermId keyword, bool with_tc,
+    CostCounters* cost, std::span<const uint16_t> years, YearRange range,
+    ScanGuard* guard, std::string* strategy = nullptr);
 
 }  // namespace csr
 

@@ -1,0 +1,95 @@
+#ifndef CSR_STATS_CONTEXT_SET_H_
+#define CSR_STATS_CONTEXT_SET_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <string>
+
+#include "index/cost_model.h"
+#include "index/inverted_index.h"
+#include "index/posting_cursor.h"
+#include "index/posting_list.h"
+#include "index/scan_guard.h"
+#include "util/types.h"
+
+namespace csr {
+
+/// df(w, D_P) and tc(w, D_P) of one keyword over one context.
+struct KeywordCounts {
+  uint64_t df = 0;
+  uint64_t tc = 0;
+};
+
+/// The document set D_P = L_m1 ∩ ... ∩ L_mc of one context over one index
+/// part, restricted to a year range when one is active, materialized once
+/// per query by a single conjunction. Every statistic of the
+/// straightforward plan (Figure 3) derives from it: |D_P| and len(D_P) are
+/// kept at build time, and each keyword's df/tc is one 2-way join
+/// L_w ⋈ D_P instead of an (m+1)-way join over the predicate lists.
+/// Retrieval then joins the keyword lists with the set instead of
+/// re-joining the m predicate lists.
+///
+/// The docids are stored as a plain PostingList with tf = 1, so the set
+/// opens through the ordinary PostingCursor and ConjunctionIterator (skip
+/// tables, galloping SkipTo, cost counters, guard ticks) with no third
+/// cursor kind. A set is per query and never cached: it lives in the
+/// PreparedSearch that built it.
+class ContextSet {
+ public:
+  /// An empty, complete set (an unsatisfiable context).
+  ContextSet() = default;
+
+  /// Builds D_P over one part by one conjunction of the context's
+  /// predicate lists: the guard-free block-pairwise kernel for two
+  /// compressed lists, a walk of the list for one predicate, the leapfrog
+  /// otherwise (the last two tick a guard once per candidate). γ_count and γ_sum(len) are taken on the way, and each
+  /// member is charged to cost->aggregation_entries. `context` must be
+  /// sorted; an empty context or a missing predicate list yields an empty
+  /// set. `years[d]` gives document d's year when `range` is active. When
+  /// the guard trips mid-build, the set holds only a prefix of D_P and
+  /// complete() is false: such a set must not be probed.
+  static ContextSet Build(const InvertedIndex& content_index,
+                          const InvertedIndex& predicate_index,
+                          std::span<const TermId> context,
+                          CostCounters* cost = nullptr,
+                          std::span<const uint16_t> years = {},
+                          YearRange range = {}, ScanGuard* guard = nullptr);
+
+  /// |D_P|.
+  size_t Size() const { return docs_.size(); }
+  /// len(D_P): the summed length of the member documents.
+  uint64_t total_length() const { return total_length_; }
+  /// False when a guard tripped during Build.
+  bool complete() const { return complete_; }
+
+  /// Membership by binary search over the sorted docids.
+  bool Contains(DocId d) const;
+
+  /// A cursor over the members (tf = 1), charged to `cost`. Invalid when
+  /// the set is empty.
+  PostingCursor cursor(CostCounters* cost) const {
+    return PostingCursor(&docs_, cost);
+  }
+
+  /// df and (when `with_tc`) tc of the keyword behind `keyword` within the
+  /// set, by one 2-way join charged to the keyword cursor's cost counters:
+  /// a block walk over a compressed list (JoinRunWithList), a search of
+  /// each docid of the shorter side in the longer over a plain one. `guard` ticks
+  /// once per docid of the shorter side up to the longer side's last
+  /// docid, for either representation; after a trip the counts are
+  /// partial. When `strategy` is non-null it receives which side drove
+  /// (tracing only).
+  KeywordCounts IntersectWith(PostingCursor keyword, bool with_tc,
+                              ScanGuard* guard = nullptr,
+                              std::string* strategy = nullptr) const;
+
+ private:
+  PostingList docs_;
+  uint64_t total_length_ = 0;
+  bool complete_ = true;
+};
+
+}  // namespace csr
+
+#endif  // CSR_STATS_CONTEXT_SET_H_

@@ -547,5 +547,58 @@ TEST_F(DegradationTest, UnguardedQueriesAreUnaffected) {
             0u);
 }
 
+TEST_F(DegradationTest, StatsTripNeverLeaksAPartialContextSetIntoRetrieval) {
+  EngineConfig ecfg;
+  ecfg.estimator_sample = 2000;
+  auto reference = ContextSearchEngine::Build(SmallCorpus(), ecfg).value();
+  const ContextQuery q = Concept0Query(*reference);
+
+  // Ticks the context-set build takes, and ticks the degraded retrieval
+  // takes: conventional mode runs the same keyword ⋈ predicate-list
+  // conjunction and ticks nothing in its stats phase.
+  ScanGuard build_guard(/*deadline_ms=*/0, /*posting_budget=*/0);
+  ContextSet full = ContextSet::Build(reference->content_index(),
+                                      reference->predicate_index(), q.context,
+                                      nullptr, {}, {}, &build_guard);
+  ASSERT_TRUE(full.complete());
+  auto conv = reference->BeginSearch(q, EvaluationMode::kConventional);
+  ASSERT_TRUE(conv.ok());
+  ASSERT_TRUE(reference->SearchStats(**conv).ok());
+  ASSERT_TRUE(reference->SearchIntersect(**conv).ok());
+  const uint64_t retrieval_ticks = (*conv)->guard.ticks();
+  auto global = reference->FinishSearch(**conv);
+  ASSERT_TRUE(global.ok());
+  // A budget of exactly the retrieval's ticks trips the stats phase while
+  // it builds D_P, and lets the reprieved retrieval run to completion.
+  ASSERT_GT(retrieval_ticks, 0u);
+  ASSERT_LT(retrieval_ticks, build_guard.ticks());
+  auto exact =
+      reference->Search(q, EvaluationMode::kContextStraightforward);
+  ASSERT_TRUE(exact.ok());
+
+  ecfg.posting_scan_budget = retrieval_ticks;
+  auto budgeted = ContextSearchEngine::Build(SmallCorpus(), ecfg).value();
+  auto r = budgeted->Search(q, EvaluationMode::kContextStraightforward);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->metrics.degraded);
+  EXPECT_NE(r->metrics.degraded_reason.find("context statistics abandoned"),
+            std::string::npos)
+      << r->metrics.degraded_reason;
+  EXPECT_EQ(r->metrics.degraded_reason.find("retrieval stopped early"),
+            std::string::npos)
+      << r->metrics.degraded_reason;
+  EXPECT_EQ(budgeted->degradation().budget_hits, 1u);
+  // The partial set was dropped: retrieval ranked the FULL conjunction,
+  // with the global statistics — exactly the conventional answer.
+  EXPECT_EQ(r->result_count, exact->result_count);
+  EXPECT_EQ(r->result_count, global->result_count);
+  ASSERT_EQ(r->top_docs.size(), global->top_docs.size());
+  for (size_t i = 0; i < r->top_docs.size(); ++i) {
+    EXPECT_EQ(r->top_docs[i].doc, global->top_docs[i].doc) << "rank " << i;
+    EXPECT_EQ(r->top_docs[i].score, global->top_docs[i].score)
+        << "rank " << i;
+  }
+}
+
 }  // namespace
 }  // namespace csr

@@ -148,14 +148,6 @@ TEST(IntersectAndAggregateTest, CountAndSum) {
   EXPECT_EQ(cost.aggregation_entries, 2u);
 }
 
-TEST(CountContainingTest, MergesAgainstContext) {
-  PostingList w = MakeList({2, 4, 6, 8});
-  std::vector<DocId> context = {1, 2, 3, 4, 9};
-  EXPECT_EQ(CountContaining(context, w), 2u);
-  std::vector<DocId> none = {100, 200};
-  EXPECT_EQ(CountContaining(none, w), 0u);
-}
-
 TEST(IndexBuilderTest, BuildsTfAndLengths) {
   IndexBuilder b(4);
   ASSERT_TRUE(b.AddDocument(0, std::vector<TermId>{5, 5, 7}).ok());

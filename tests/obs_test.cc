@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <memory>
@@ -386,8 +387,17 @@ TEST(QueryTraceTest, SpanTreeCoversPlanAndEveryIntersection) {
   EXPECT_EQ(ir->AttrValue("scoring"), "pivoted-tfidf");
   EXPECT_EQ(ir->AttrValue("docs_scored"),
             std::to_string(r->result_count));
+  // Retrieval joined the keyword lists with the D_P the stats phase built
+  // (one part), not with the predicate lists.
+  EXPECT_EQ(ir->AttrValue("context_set"), "1");
+  EXPECT_EQ(ir->AttrValue("lists"), std::to_string(q.keywords.size() + 1));
+  const std::string set_join = std::to_string(q.keywords.size() + 1) +
+                               "-way conjunction with the context set,";
+  EXPECT_NE(r->metrics.plan.find(set_join), std::string::npos)
+      << r->metrics.plan;
 
-  // View plan: the plan span flips to plan:view.
+  // View plan: the plan span flips to plan:view, and retrieval has no
+  // context set to join with.
   auto rv = engine->Search(q, EvaluationMode::kContextWithViews);
   ASSERT_TRUE(rv.ok());
   ASSERT_NE(rv->trace, nullptr);
@@ -395,12 +405,107 @@ TEST(QueryTraceTest, SpanTreeCoversPlanAndEveryIntersection) {
   ASSERT_NE(vplan, nullptr);
   EXPECT_FALSE(vplan->AttrValue("view_tuples_scanned").empty());
   EXPECT_EQ(rv->trace->root().Find("plan:straightforward"), nullptr);
+  EXPECT_EQ(rv->trace->root().CountByName("intersect:context"), 0u);
+  const TraceSpan* vir = rv->trace->root().Find("intersect:retrieval");
+  ASSERT_NE(vir, nullptr);
+  EXPECT_EQ(vir->AttrValue("context_set"), "0");
+  const std::string list_join =
+      std::to_string(q.keywords.size() + q.context.size()) +
+      "-way conjunction,";
+  EXPECT_NE(rv->metrics.plan.find(list_join), std::string::npos)
+      << rv->metrics.plan;
+  EXPECT_EQ(rv->metrics.plan.find("context set"), std::string::npos);
 
   // The trace serializes to JSON containing the span names nested.
   std::string json = rv->trace->ToJson();
   EXPECT_NE(json.find("\"name\": \"search\""), std::string::npos) << json;
   EXPECT_NE(json.find("plan:view"), std::string::npos);
   EXPECT_NE(json.find("intersect:retrieval"), std::string::npos);
+}
+
+TEST(QueryTraceTest, OneContextSetPerPartFeedsRetrieval) {
+  // A segmented engine: the base plus appended segments.
+  Corpus full = ObsCorpus();
+  Corpus prefix = full;
+  prefix.docs.resize(1500);
+  prefix.config.num_docs = 1500;
+  EngineConfig ecfg;
+  ecfg.trace_sample_rate = 1.0;
+  auto engine = ContextSearchEngine::Build(std::move(prefix), ecfg).value();
+  for (size_t pos = 1500; pos < full.docs.size(); pos += 500) {
+    size_t end = std::min(full.docs.size(), pos + 500);
+    ASSERT_TRUE(engine
+                    ->AppendDocuments(std::vector<Document>(
+                        full.docs.begin() + pos, full.docs.begin() + end))
+                    .ok());
+  }
+  ContextQuery q = ObsQuery(*engine, 1);
+  auto r = engine->Search(q, EvaluationMode::kContextStraightforward);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r->trace, nullptr);
+  const TraceSpan& root = r->trace->root();
+  std::string segments(root.AttrValue("segments"));
+  ASSERT_FALSE(segments.empty()) << "appends left a single part";
+  const size_t parts = std::stoul(segments);
+  ASSERT_GT(parts, 1u);
+
+  // Exactly one conjunction over the predicate lists per part; every
+  // keyword's df is a 2-way join with that part's set.
+  const TraceSpan* plan = root.Find("plan:straightforward");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->CountByName("intersect:context"), parts);
+  EXPECT_EQ(plan->CountByName("intersect:df"), parts * q.keywords.size());
+  const TraceSpan* df = plan->Find("intersect:df");
+  ASSERT_NE(df, nullptr);
+  EXPECT_EQ(df->AttrValue("lists"), "2");
+  EXPECT_FALSE(df->AttrValue("strategy").empty());
+  EXPECT_FALSE(df->AttrValue("entries_scanned").empty());
+
+  // Retrieval joined every part that had matches with its set.
+  const TraceSpan* ir = root.Find("intersect:retrieval");
+  ASSERT_NE(ir, nullptr);
+  std::string with_set(ir->AttrValue("context_set"));
+  ASSERT_FALSE(with_set.empty());
+  EXPECT_GT(std::stoul(with_set), 0u);
+  EXPECT_LE(std::stoul(with_set), parts);
+}
+
+TEST(QueryTraceTest, AdaptiveViewTracesUntrackedKeywordDf) {
+  EngineConfig ecfg;
+  ecfg.trace_sample_rate = 1.0;
+  ecfg.adaptive_view_budget_bytes = 8ull << 20;
+  ecfg.adaptive_min_score_ms = 0.00001;  // one miss funds an install
+  ecfg.adaptive_cooldown_steps = 1;
+  auto engine = ContextSearchEngine::Build(ObsCorpus(), ecfg).value();
+  // A keyword without a parameter column, so the adaptive view cannot
+  // answer its df.
+  ContextQuery q = ObsQuery(*engine, 1);
+  const InvertedIndex& content = engine->content_index();
+  TermId untracked = 0;
+  while (untracked < content.num_terms() &&
+         (content.df(untracked) == 0 ||
+          engine->tracked().IsTracked(untracked))) {
+    ++untracked;
+  }
+  ASSERT_LT(untracked, content.num_terms());
+  q.keywords.push_back(untracked);
+
+  ASSERT_TRUE(engine->Search(q, EvaluationMode::kContextWithViews).ok());
+  ASSERT_TRUE(engine->AdaptiveStep());
+  auto r = engine->Search(q, EvaluationMode::kContextWithViews);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(r->metrics.used_adaptive_view);
+  ASSERT_GE(r->metrics.keywords_uncovered_by_view, 1u);
+  ASSERT_NE(r->trace, nullptr);
+  const TraceSpan* plan = r->trace->root().Find("plan:adaptive_view");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->CountByName("intersect:df"),
+            r->metrics.keywords_uncovered_by_view);
+  const TraceSpan* df = plan->Find("intersect:df");
+  ASSERT_NE(df, nullptr);
+  EXPECT_EQ(df->AttrValue("keyword"), std::to_string(untracked));
+  EXPECT_FALSE(df->AttrValue("entries_scanned").empty());
+  EXPECT_FALSE(df->AttrValue("bytes_touched").empty());
 }
 
 TEST(QueryTraceTest, SamplingTracesEveryNthQuery) {

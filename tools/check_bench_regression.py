@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-smoke gates for the serving path.
 
-Seven modes, selectable per invocation (at least one is required):
+Eight modes, selectable per invocation (at least one is required):
 
 --bench + --baseline: runs bench_ablation_codec --json fresh and fails if
 the compressed dense-intersection QPS falls below --threshold of the same
@@ -59,6 +59,14 @@ selector or correctness rot that Mv/s alone would miss. On a
 CSR_FORCE_SCALAR build (dispatch_level "scalar") the speedup floors are
 skipped — both arms run the same scalar code — but the deterministic
 cross-checks still apply.
+
+--context-set-bench: runs bench_fig8_small_contexts --json fresh and
+fails if the straightforward plan (DESIGN.md §18) lost its per-query
+ContextSet: on the Figure 8 pool, StraightforwardCollectionStats with
+every keyword must cost at most CONTEXT_SET_CEILING (2.0) times the same
+call with no keywords (its context conjunction alone), both timed query by
+query in one run. The two calls must also agree on |D_P| and len(D_P) for
+every query, which fails immediately.
 
 --self-test: runs this script's own pytest-style unit tests (no pytest
 dependency; plain asserts over the pure check functions and the JSON
@@ -374,6 +382,10 @@ INTERSECT_BUCKETS = ("near_equal", "ratio_8", "ratio_32", "ratio_64",
 INTERSECT_EXACT_FIELDS = ("kernel", "ratio", "rare_size", "freq_size",
                           "result")
 
+# Largest allowed straightforward-plan / context-conjunction time ratio on
+# the Figure 8 pool (--context-set-bench).
+CONTEXT_SET_CEILING = 2.0
+
 
 def check_intersect_exact(report, baseline):
     """Deterministic intersect-kernel checks — never retried.
@@ -435,6 +447,34 @@ def check_intersect_perf(report, near_floor, gallop_floor):
                 f"simd {b['simd_mvs']:.1f} Mv/s is {b['speedup']:.2f}x "
                 f"scalar {b['scalar_mvs']:.1f} Mv/s (floor {floor:.1f}x)")
     return failures
+
+
+def check_context_set_exact(report):
+    """Deterministic part of the context-set gate: no query may report a
+    different |D_P| or len(D_P) with keywords than without, and the pool
+    must not be empty."""
+    cs = section(report, "context_set")
+    failures = []
+    if cs["queries"] == 0:
+        failures.append("context_set: the Figure 8 pool is empty")
+    if cs["cardinality_mismatches"] != 0:
+        failures.append(
+            f"context_set: {cs['cardinality_mismatches']} queries changed "
+            f"|D_P| or len(D_P) when keywords were added")
+    return failures
+
+
+def check_context_set(report):
+    """Returns a list of failure strings for one fresh Figure 8 probe run."""
+    cs = section(report, "context_set")
+    ratio = cs["straightforward_over_conj"]
+    if ratio > CONTEXT_SET_CEILING:
+        return [
+            f"context_set ({cs.get('workload', '?')}): straightforward "
+            f"{cs['straightforward_ms_mean']:.4f} ms / conjunction "
+            f"{cs['conj_ms_mean']:.4f} ms = {ratio:.2f} > allowed "
+            f"{CONTEXT_SET_CEILING:.2f}"]
+    return []
 
 
 def retry_gate(label, attempts, run_once, on_ok):
@@ -602,6 +642,27 @@ def run_ingest_gate(args):
               f"{ing['view_deltas']['fold_overhead_ratio']:.2f}x")
 
     return retry_gate("ingest", args.attempts, once, ok)
+
+
+def run_context_set_gate(args):
+    def once():
+        report = run_bench(args.context_set_bench)
+        exact = check_context_set_exact(report)
+        if exact:
+            for msg in exact:
+                print(f"FAIL: {msg}", file=sys.stderr)
+            return report, None
+        return report, check_context_set(report)
+
+    def ok(report, attempt):
+        cs = report["context_set"]
+        print(f"context-set gate OK (attempt {attempt}/{args.attempts}): "
+              f"straightforward {cs['straightforward_ms_mean']:.4f} ms vs "
+              f"conjunction {cs['conj_ms_mean']:.4f} ms = "
+              f"{cs['straightforward_over_conj']:.2f}x over "
+              f"{cs['queries']} Figure 8 queries")
+
+    return retry_gate("context set", args.attempts, once, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -992,6 +1053,48 @@ def test_exact_cross_check_flags_mismatch():
     assert len(fails) == 1 and "identical_topk" in fails[0]
 
 
+def _context_set_report(**overrides):
+    cs = {
+        "workload": "fig8_small_contexts",
+        "queries": 200,
+        "conj_ms_mean": 0.10,
+        "straightforward_ms_mean": 0.14,
+        "straightforward_over_conj": 1.4,
+        "cardinality_mismatches": 0,
+    }
+    cs.update(overrides)
+    return {"context_set": cs}
+
+
+def test_context_set_passes_on_good_report():
+    report = _context_set_report()
+    assert check_context_set_exact(report) == []
+    assert check_context_set(report) == []
+
+
+def test_context_set_fails_above_ceiling():
+    fails = check_context_set(
+        _context_set_report(straightforward_over_conj=4.8))
+    assert len(fails) == 1 and "4.80 > allowed 2.00" in fails[0], fails
+
+
+def test_context_set_exact_flags_mismatch_and_empty_pool():
+    fails = check_context_set_exact(
+        _context_set_report(cardinality_mismatches=3))
+    assert len(fails) == 1 and "3 queries" in fails[0], fails
+    fails = check_context_set_exact(_context_set_report(queries=0))
+    assert len(fails) == 1 and "empty" in fails[0], fails
+
+
+def test_context_set_missing_section_is_gate_error():
+    try:
+        check_context_set({"serving": {}})
+    except GateError as e:
+        assert "context_set" in str(e)
+    else:
+        raise AssertionError("expected GateError")
+
+
 def run_self_test():
     tests = sorted(
         (name, fn) for name, fn in globals().items()
@@ -1031,6 +1134,8 @@ def main():
                          "view-cache gate)")
     ap.add_argument("--intersect-bench",
                     help="path to the bench_ablation_intersection binary")
+    ap.add_argument("--context-set-bench",
+                    help="path to the bench_fig8_small_contexts binary")
     ap.add_argument("--attempts", type=int, default=3)
     ap.add_argument("--threshold", type=float, default=0.95)
     ap.add_argument("--min-ratio", type=float, default=7.0)
@@ -1076,10 +1181,11 @@ def main():
 
     if (not args.bench and not args.obs_bench and not args.serving_bench
             and not args.ingest_bench and not args.intersect_bench
-            and not args.pipeline_bench and not args.adaptive_bench):
+            and not args.pipeline_bench and not args.adaptive_bench
+            and not args.context_set_bench):
         ap.error("one of --bench, --obs-bench, --serving-bench, "
-                 "--ingest-bench, --pipeline-bench, --adaptive-bench or "
-                 "--intersect-bench is required")
+                 "--ingest-bench, --pipeline-bench, --adaptive-bench, "
+                 "--intersect-bench or --context-set-bench is required")
     if (args.bench or args.intersect_bench) and not args.baseline:
         ap.error("--bench/--intersect-bench require --baseline")
 
@@ -1098,6 +1204,8 @@ def main():
         gates.append(run_adaptive_gate)
     if args.intersect_bench:
         gates.append(run_intersect_gate)
+    if args.context_set_bench:
+        gates.append(run_context_set_gate)
     for gate in gates:
         try:
             rc = gate(args)
