@@ -174,10 +174,8 @@ void ContextSearchEngine::InitAdaptive() {
     return BuildAdaptiveView(def, std::move(prior));
   };
   hooks.estimate_bytes = [this](const ViewDefinition& def) {
-    ViewParamOptions options{/*track_df=*/true, config_.track_tc,
-                             config_.view_year_bucket};
     return estimator_->EstimateBytes(
-        def, options, static_cast<uint32_t>(tracked_.size()));
+        def, ViewParams(), static_cast<uint32_t>(tracked_.size()));
   };
   hooks.live_epoch = [this] { return SnapshotLive()->epoch; };
   adaptive_ = std::make_unique<AdaptiveViewController>(acfg, std::move(hooks));
@@ -566,14 +564,10 @@ std::vector<MaterializedView> ContextSearchEngine::BuildViewDeltasLocked(
   for (size_t i = 0; i < catalog_.size(); ++i) {
     defs.push_back(catalog_.view(i).def());
   }
-  ViewParamOptions params;
-  params.track_df = true;
-  params.track_tc = config_.track_tc;
-  params.year_bucket_size = config_.view_year_bucket;
   // The segment's param table is local (row 0 = global doc `first`), so
   // the builder maps corpus docids down by table_base.
   DocParamTable local_table = DocParamTable::Build(content, tracked_);
-  ViewBuilder builder(&corpus_, &local_table, params,
+  ViewBuilder builder(&corpus_, &local_table, ViewParams(),
                       static_cast<uint32_t>(tracked_.size()),
                       /*table_base=*/first);
   deltas = builder.BuildRange(defs, first, end);
@@ -594,10 +588,6 @@ std::shared_ptr<const AdaptiveView> ContextSearchEngine::BuildAdaptiveView(
   if (adaptive_build_intercept_) adaptive_build_intercept_();
   if (def.num_columns() == 0 || def.num_columns() > 64) return nullptr;
 
-  ViewParamOptions options;
-  options.track_df = true;
-  options.track_tc = config_.track_tc;
-  options.year_bucket_size = config_.view_year_bucket;
   auto av = std::make_shared<AdaptiveView>();
   av->def = def;
   av->built_epoch = live->epoch;
@@ -612,7 +602,8 @@ std::shared_ptr<const AdaptiveView> ContextSearchEngine::BuildAdaptiveView(
     av->base = prior->base;
   } else {
     MaterializedView base = BuildViewFromIndexes(
-        def, options, tracked_, content_index_, predicate_index_, years_);
+        def, ViewParams(), tracked_, content_index_, predicate_index_,
+        years_);
     base.Compact();
     av->base = std::make_shared<const MaterializedView>(std::move(base));
   }
@@ -636,7 +627,7 @@ std::shared_ptr<const AdaptiveView> ContextSearchEngine::BuildAdaptiveView(
     }
     if (delta.view == nullptr) {
       MaterializedView dv = BuildViewFromIndexes(
-          def, options, tracked_, es->index.content, es->index.predicate,
+          def, ViewParams(), tracked_, es->index.content, es->index.predicate,
           es->index.years);
       dv.Compact();
       delta.view = std::make_shared<const MaterializedView>(std::move(dv));
@@ -960,11 +951,7 @@ Status ContextSearchEngine::SelectAndMaterializeViews() {
 Status ContextSearchEngine::MaterializeViews(std::vector<ViewDefinition> defs) {
   AdaptiveExclusiveGuard adaptive_guard(adaptive_.get());
   CSR_RETURN_NOT_OK(FlattenSegments());
-  ViewParamOptions params;
-  params.track_df = true;
-  params.track_tc = config_.track_tc;
-  params.year_bucket_size = config_.view_year_bucket;
-  ViewBuilder builder(&corpus_, param_table_.get(), params,
+  ViewBuilder builder(&corpus_, param_table_.get(), ViewParams(),
                       static_cast<uint32_t>(tracked_.size()));
   std::vector<MaterializedView> views = builder.BuildAll(defs);
   catalog_ = ViewCatalog();
@@ -1043,6 +1030,11 @@ Status ContextSearchEngine::InstallCatalog(
   return Status::OK();
 }
 
+ViewParamOptions ContextSearchEngine::ViewParams() const {
+  return ViewParamOptions{/*track_df=*/true, config_.track_tc,
+                          config_.view_year_bucket};
+}
+
 CollectionStats ContextSearchEngine::FoldGlobalStats(
     std::span<const SearchPart> parts,
     std::span<const TermId> keywords) const {
@@ -1050,235 +1042,13 @@ CollectionStats ContextSearchEngine::FoldGlobalStats(
   total.df.assign(keywords.size(), 0);
   total.tc.assign(keywords.size(), 0);
   for (const SearchPart& part : parts) {
-    CollectionStats ps = GlobalCollectionStats(*part.content, keywords);
-    total.cardinality += ps.cardinality;
-    total.total_length += ps.total_length;
-    for (size_t i = 0; i < ps.df.size(); ++i) total.df[i] += ps.df[i];
-    for (size_t i = 0; i < ps.tc.size(); ++i) total.tc[i] += ps.tc[i];
+    total.Add(GlobalCollectionStats(*part.content, keywords));
   }
   return total;
 }
 
-CollectionStats ContextSearchEngine::ComputeContextStats(
-    const ContextQuery& query, const QueryStats& qstats, bool with_views,
-    SearchMetrics& metrics, ScanGuard* guard,
-    std::span<const SearchPart> parts,
-    std::vector<std::optional<ContextSet>>& sets, TraceContext tctx) const {
-  bool need_tc = ranking_->NeedsTermCounts();
-  sets.assign(parts.size(), std::nullopt);
-
-  // The straightforward plan over one part. Its D_P is kept for retrieval
-  // unless a guard trip left it partial.
-  auto straightforward_part = [&](const SearchPart& part,
-                                  TraceContext ptx) -> CollectionStats {
-    ContextSet set;
-    CollectionStats ps = StraightforwardCollectionStats(
-        *part.content, *part.predicate, query.context, qstats.keywords,
-        need_tc, &metrics.cost, part.years, query.years, guard, ptx, &set);
-    if (set.complete()) {
-      sets[static_cast<size_t>(&part - parts.data())] = std::move(set);
-    }
-    return ps;
-  };
-
-  auto straightforward_plan = [&](std::string_view reason) {
-    metrics.plan = "stats: straightforward (Figure 3): gamma over ";
-    metrics.plan += std::to_string(query.context.size());
-    metrics.plan += "-way context intersection + ";
-    metrics.plan += std::to_string(qstats.keywords.size());
-    metrics.plan += " per-keyword intersections";
-    if (parts.size() > 1) {
-      metrics.plan += " over " + std::to_string(parts.size()) + " segments";
-    }
-    if (!reason.empty()) {
-      metrics.plan += " [";
-      metrics.plan += reason;
-      metrics.plan += "]";
-    }
-  };
-
-  // The statistics of Section 3 are integer sums (counts, length sums)
-  // over the matching documents, and the parts partition the docid space,
-  // so folding the per-part results reproduces the flattened-index numbers
-  // bit for bit. A tripped guard stops the fold — the result is partial
-  // either way, and the caller inspects the guard before using it.
-  auto straightforward_fold = [&](TraceContext ptx) -> CollectionStats {
-    CollectionStats total;
-    total.df.assign(qstats.keywords.size(), 0);
-    if (need_tc) total.tc.assign(qstats.keywords.size(), 0);
-    for (const SearchPart& part : parts) {
-      CollectionStats ps;
-      if (parts.size() > 1) {
-        SpanGuard pspan(ptx, "segment:" + std::to_string(part.segment_id));
-        ps = straightforward_part(part, pspan.ctx());
-      } else {
-        ps = straightforward_part(part, ptx);
-      }
-      total.cardinality += ps.cardinality;
-      total.total_length += ps.total_length;
-      for (size_t i = 0; i < ps.df.size(); ++i) total.df[i] += ps.df[i];
-      if (need_tc) {
-        for (size_t i = 0; i < ps.tc.size(); ++i) total.tc[i] += ps.tc[i];
-      }
-      if (guard != nullptr && guard->tripped()) break;
-    }
-    return total;
-  };
-
-  if (!with_views) {
-    straightforward_plan("");
-    SpanGuard span(tctx, "plan:straightforward");
-    span.Attr("reason", "views disabled for this mode");
-    return straightforward_fold(span.ctx());
-  }
-
-  int32_t view_idx = catalog_.FindBestIndex(query.context);
-  const MaterializedView* view =
-      view_idx < 0 ? nullptr : &catalog_.view(static_cast<size_t>(view_idx));
-  if (view == nullptr ||
-      (query.years.active() && !view->RangeAnswerable(query.years))) {
-    // -- Online adaptive view cache (DESIGN.md §17) ----------------------
-    // Consulted only when the offline catalog has no usable view: the
-    // catalog is the paper's cost-based choice; the cache fills the gaps
-    // offline selection could not anticipate. Queries take one immutable
-    // version snapshot, so a concurrent install/evict republish is never
-    // observed torn. Adaptive views carry the same exact integer
-    // aggregates as catalog views — the plans are bit-identical.
-    if (adaptive_ != nullptr) {
-      std::shared_ptr<const AdaptiveCatalogVersion> aversion =
-          adaptive_->Snapshot();
-      std::shared_ptr<const AdaptiveView> av =
-          aversion->FindBest(query.context);
-      if (av != nullptr && av->base != nullptr &&
-          (!query.years.active() ||
-           av->base->RangeAnswerable(query.years))) {
-        metrics.used_view = true;
-        metrics.used_adaptive_view = true;
-        metrics.plan = "stats: adaptive view scan over V_K (|K|=" +
-                       std::to_string(av->def.num_columns()) + ", " +
-                       std::to_string(av->NumTuples()) + " tuples, v" +
-                       std::to_string(aversion->version) + ")";
-        SpanGuard span(tctx, "plan:adaptive_view");
-        span.Attr("view_columns",
-                  static_cast<uint64_t>(av->def.num_columns()));
-        span.Attr("view_tuples", av->NumTuples());
-        span.Attr("catalog_version", aversion->version);
-
-        // Fold the view's base + per-segment deltas over the parts.
-        // Parts with no matching delta (appended/merged after the build)
-        // are answered by the straightforward plan FOR THAT PART, so a
-        // stale resident is never wrong, only slower. Deltas are keyed by
-        // segment id (never reused with different content); base/docid
-        // extents are cross-checked belt-and-braces.
-        CollectionStats stats;
-        stats.df.assign(qstats.keywords.size(), 0);
-        if (need_tc) stats.tc.assign(qstats.keywords.size(), 0);
-        std::vector<bool> covered;
-        std::vector<SearchPart> view_served;
-        uint64_t stale_parts = 0;
-        for (const SearchPart& part : parts) {
-          uint32_t part_docs =
-              static_cast<uint32_t>(part.content->num_docs());
-          const MaterializedView* pv = nullptr;
-          if (part.view_deltas == nullptr) {
-            // The base part; matches iff the base extent is unchanged
-            // (exclusive mutators that change it reset the controller).
-            if (part.base == 0 && part_docs == av->base_docs) {
-              pv = av->base.get();
-            }
-          } else {
-            pv = av->DeltaFor(part.segment_id, part.base, part_docs);
-          }
-          if (pv != nullptr) {
-            MaterializedView::StatsResult vr =
-                pv->ComputeStats(query.context, qstats.keywords, tracked_,
-                                 &metrics.cost, query.years);
-            stats.cardinality += vr.cardinality;
-            stats.total_length += vr.total_length;
-            if (covered.empty()) covered = vr.covered;
-            for (size_t i = 0; i < qstats.keywords.size(); ++i) {
-              if (!vr.covered[i]) continue;
-              stats.df[i] += vr.df[i];
-              if (need_tc) stats.tc[i] += vr.tc[i];
-            }
-            view_served.push_back(part);
-            continue;
-          }
-          ++stale_parts;
-          SpanGuard pspan(span.ctx(),
-                          "segment:" + std::to_string(part.segment_id) +
-                              ":straightforward");
-          CollectionStats ps = straightforward_part(part, pspan.ctx());
-          stats.cardinality += ps.cardinality;
-          stats.total_length += ps.total_length;
-          for (size_t i = 0; i < ps.df.size(); ++i) stats.df[i] += ps.df[i];
-          if (need_tc) {
-            for (size_t i = 0; i < ps.tc.size(); ++i) {
-              stats.tc[i] += ps.tc[i];
-            }
-          }
-          if (guard != nullptr && guard->tripped()) break;
-        }
-        metrics.view_tuples_scanned = metrics.cost.view_tuples_scanned;
-        if (stale_parts > 0) {
-          adaptive_->NoteStalePartFallback(stale_parts);
-          metrics.plan += " + " + std::to_string(stale_parts) +
-                          " stale segment(s) answered straightforwardly";
-        }
-
-        // Keywords without a parameter column are computed at query time —
-        // over the VIEW-SERVED parts only (straightforward-served parts
-        // already returned full per-keyword statistics above).
-        uint32_t uncovered =
-            AddUncoveredKeywordStats(query, qstats, covered, view_served,
-                                     metrics.cost, guard, span.ctx(), stats);
-        metrics.keywords_uncovered_by_view = uncovered;
-        if (uncovered > 0) {
-          metrics.plan +=
-              " + " + std::to_string(uncovered) +
-              " query-time df intersection(s) for untracked keywords";
-        }
-        adaptive_->RecordHit(query.context);
-        return stats;
-      }
-    }
-
-    metrics.fell_back_to_straightforward = true;
-    std::string reason = view == nullptr
-                             ? "fallback: no usable view"
-                             : "fallback: year range not bucket-aligned";
-    if (view == nullptr) {
-      // Attribute the miss when the covering view was dropped at snapshot
-      // load: the fallback is then a degradation, not a planning choice.
-      const QuarantinedView* q =
-          catalog_.FindQuarantinedCovering(query.context);
-      if (q != nullptr) {
-        metrics.degraded = true;
-        metrics.degraded_reason =
-            "view for this context was quarantined at load (" + q->reason +
-            "); answered by the straightforward plan";
-        reason = "fallback: covering view quarantined";
-        degradation_.quarantine_fallbacks++;
-      }
-    }
-    straightforward_plan(reason);
-    SpanGuard span(tctx, "plan:straightforward");
-    span.Attr("reason", reason);
-    // Fund the adaptive estimator with the cost the miss actually paid.
-    // Year-restricted queries are excluded: whether a future view could
-    // answer them depends on bucket alignment, so their misses would
-    // inflate scores for contexts the cache might never serve.
-    if (adaptive_ != nullptr && view == nullptr && !query.years.active()) {
-      WallTimer miss_timer;
-      CollectionStats s = straightforward_fold(span.ctx());
-      if (guard == nullptr || !guard->tripped()) {
-        adaptive_->RecordMiss(query.context, miss_timer.ElapsedMillis());
-      }
-      return s;
-    }
-    return straightforward_fold(span.ctx());
-  }
-
+std::string_view ContextSearchEngine::GateViewRead(
+    SearchMetrics& metrics) const {
   // -- Overload resilience on the view path (DESIGN.md §13) -------------
   // The view read is a dependency that can fail transiently (injection
   // point kViewRead). A circuit breaker gates it: while open, queries
@@ -1286,13 +1056,7 @@ CollectionStats ContextSearchEngine::ComputeContextStats(
   // the view. Because views are exact aggregates, both plans produce
   // bit-identical scores — a short-circuit is a plan choice, not a
   // degradation.
-  if (!view_breaker_.Allow()) {
-    metrics.fell_back_to_straightforward = true;
-    straightforward_plan("fallback: view circuit breaker open");
-    SpanGuard span(tctx, "plan:straightforward");
-    span.Attr("reason", "view circuit breaker open");
-    return straightforward_fold(span.ctx());
-  }
+  if (!view_breaker_.Allow()) return "fallback: view circuit breaker open";
   // Transient fault on the read itself: retry within the process-wide
   // budget (a storm drains the bucket and fails fast into the fallback
   // instead of multiplying load), then report the outcome to the breaker.
@@ -1312,70 +1076,210 @@ CollectionStats ContextSearchEngine::ComputeContextStats(
   }
   if (!view_ok) {
     view_breaker_.OnFailure();
-    metrics.fell_back_to_straightforward = true;
     metrics.degraded = true;
     metrics.degraded_reason =
         "transient view-read fault persisted through retry; answered by "
         "the straightforward plan";
-    straightforward_plan("fallback: transient view-read fault");
-    SpanGuard span(tctx, "plan:straightforward");
-    span.Attr("reason", "transient view-read fault");
-    return straightforward_fold(span.ctx());
+    return "fallback: transient view-read fault";
   }
   view_breaker_.OnSuccess();
   RetryBudget::Global().Deposit();
+  return {};
+}
 
-  metrics.used_view = true;
-  metrics.plan = "stats: view scan over V_K (|K|=" +
-                 std::to_string(view->def().num_columns()) + ", " +
-                 std::to_string(view->NumTuples()) + " tuples)";
-  if (parts.size() > 1) {
-    metrics.plan +=
-        " + " + std::to_string(parts.size() - 1) + " segment delta(s)";
+CollectionStats ContextSearchEngine::ComputeContextStats(
+    const ContextQuery& query, const QueryStats& qstats, bool with_views,
+    SearchMetrics& metrics, ScanGuard* guard,
+    std::span<const SearchPart> parts,
+    std::vector<std::optional<ContextSet>>& sets, TraceContext tctx) const {
+  const bool need_tc = ranking_->NeedsTermCounts();
+  sets.assign(parts.size(), std::nullopt);
+
+  // -- Resolve the smallest view covering P, once ------------------------
+  // The offline catalog is the paper's cost-based choice; the online
+  // adaptive cache (DESIGN.md §17) fills the gaps offline selection could
+  // not anticipate. A query takes one immutable adaptive version snapshot,
+  // so a concurrent install/evict republish is never observed torn. Both
+  // sources carry the same exact integer aggregates, so every plan below
+  // is bit-identical to the straightforward one.
+  const MaterializedView* view = nullptr;  // the chosen source's base view
+  int32_t view_idx = -1;
+  std::shared_ptr<const AdaptiveCatalogVersion> aversion;
+  std::shared_ptr<const AdaptiveView> av;
+  std::string_view reason = "views disabled for this mode";
+  bool record_miss = false;
+  if (with_views) {
+    auto answerable = [&](const MaterializedView& v) {
+      return !query.years.active() || v.RangeAnswerable(query.years);
+    };
+    view_idx = catalog_.FindBestIndex(query.context);
+    const MaterializedView* offline =
+        view_idx < 0 ? nullptr : &catalog_.view(static_cast<size_t>(view_idx));
+    if (offline != nullptr && answerable(*offline)) {
+      view = offline;
+    } else if (adaptive_ != nullptr) {
+      aversion = adaptive_->Snapshot();
+      av = aversion->FindBest(query.context);
+      if (av != nullptr && av->base != nullptr && answerable(*av->base)) {
+        view = av->base.get();
+      }
+    }
+    if (view != nullptr) {
+      reason = GateViewRead(metrics);
+      if (!reason.empty()) view = nullptr;
+    } else if (offline != nullptr) {
+      reason = "fallback: year range not bucket-aligned";
+    } else {
+      reason = "fallback: no usable view";
+      // Attribute the miss when the covering view was dropped at snapshot
+      // load: the fallback is then a degradation, not a planning choice.
+      const QuarantinedView* q =
+          catalog_.FindQuarantinedCovering(query.context);
+      if (q != nullptr) {
+        metrics.degraded = true;
+        metrics.degraded_reason =
+            "view for this context was quarantined at load (" + q->reason +
+            "); answered by the straightforward plan";
+        reason = "fallback: covering view quarantined";
+        degradation_.quarantine_fallbacks++;
+      }
+      // Fund the adaptive estimator with the cost the miss actually pays.
+      // Year-restricted queries are excluded: whether a future view could
+      // answer them depends on bucket alignment, so their misses would
+      // inflate scores for contexts the cache might never serve.
+      record_miss = adaptive_ != nullptr && !query.years.active();
+    }
+    if (view == nullptr) metrics.fell_back_to_straightforward = true;
   }
-  SpanGuard span(tctx, "plan:view");
-  span.Attr("view_columns",
-            static_cast<uint64_t>(view->def().num_columns()));
-  span.Attr("view_tuples", view->NumTuples());
+  if (view == nullptr) av = nullptr;  // `av` now marks an adaptive plan
 
-  // Fold the base view with every segment's delta at the same catalog
-  // index. Deltas share the base view's definition (columns, tracked
-  // slots, year buckets), so coverage and range-answerability are decided
-  // once by the base; the fold itself is again pure integer sums.
+  // One view per part: the base view or that part's delta. Offline deltas
+  // sit at the base view's catalog index; adaptive deltas are keyed by
+  // segment id (never reused with different content), with base/docid
+  // extents cross-checked. nullptr marks a part appended or merged after
+  // an adaptive build: the straightforward plan answers it, so a stale
+  // resident is never wrong, only slower.
+  auto part_view = [&](const SearchPart& part) -> const MaterializedView* {
+    if (view == nullptr) return nullptr;
+    if (av == nullptr) {
+      return part.view_deltas == nullptr
+                 ? view
+                 : &(*part.view_deltas)[static_cast<size_t>(view_idx)];
+    }
+    uint32_t part_docs = static_cast<uint32_t>(part.content->num_docs());
+    if (part.view_deltas == nullptr) {
+      return part.base == 0 && part_docs == av->base_docs ? view : nullptr;
+    }
+    return av->DeltaFor(part.segment_id, part.base, part_docs);
+  };
+
+  // -- Fold every part in one loop ---------------------------------------
+  // The statistics of Section 3 are integer sums (counts, length sums)
+  // over the matching documents, and the parts partition the docid space,
+  // so folding the per-part results reproduces the flattened-index numbers
+  // bit for bit. A tripped guard stops the fold — the result is partial
+  // either way, and the caller inspects the guard before using it.
+  SpanGuard span(tctx, view == nullptr ? "plan:straightforward"
+                       : av != nullptr ? "plan:adaptive_view"
+                                       : "plan:view");
   CollectionStats stats;
   stats.df.assign(qstats.keywords.size(), 0);
   if (need_tc) stats.tc.assign(qstats.keywords.size(), 0);
   std::vector<bool> covered;
-  for (const SearchPart& part : parts) {
-    const MaterializedView* pv =
-        part.view_deltas == nullptr
-            ? view
-            : &(*part.view_deltas)[static_cast<size_t>(view_idx)];
-    MaterializedView::StatsResult vr = pv->ComputeStats(
-        query.context, qstats.keywords, tracked_, &metrics.cost, query.years);
-    if (part.view_deltas != nullptr) hot_.view_delta_folds->Increment();
-    stats.cardinality += vr.cardinality;
-    stats.total_length += vr.total_length;
-    if (covered.empty()) covered = vr.covered;
-    for (size_t i = 0; i < qstats.keywords.size(); ++i) {
-      if (!vr.covered[i]) continue;
-      stats.df[i] += vr.df[i];
-      if (need_tc) stats.tc[i] += vr.tc[i];
+  std::vector<SearchPart> view_served;
+  uint64_t delta_folds = 0;
+  uint64_t stale_parts = 0;
+  WallTimer fold_timer;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    const SearchPart& part = parts[p];
+    if (const MaterializedView* pv = part_view(part); pv != nullptr) {
+      MaterializedView::StatsResult vr =
+          pv->ComputeStats(query.context, qstats.keywords, tracked_,
+                           &metrics.cost, query.years);
+      // Deltas share the base view's definition (columns, tracked slots,
+      // year buckets), so coverage is the same for every part.
+      if (covered.empty()) covered = std::move(vr.covered);
+      stats.Add({vr.cardinality, vr.total_length, std::move(vr.df),
+                 std::move(vr.tc)});
+      if (part.view_deltas != nullptr) ++delta_folds;
+      view_served.push_back(part);
+      continue;
     }
+    // The straightforward plan (Figure 3) for this part. Its D_P is kept
+    // for retrieval unless a guard trip left it partial.
+    if (view != nullptr) ++stale_parts;
+    std::optional<SpanGuard> pspan;
+    if (parts.size() > 1 && span) {
+      pspan.emplace(span.ctx(), "segment:" + std::to_string(part.segment_id));
+    }
+    ContextSet set;
+    stats.Add(StraightforwardCollectionStats(
+        *part.content, *part.predicate, query.context, qstats.keywords,
+        need_tc, &metrics.cost, part.years, query.years, guard,
+        pspan ? pspan->ctx() : span.ctx(), &set));
+    if (set.complete()) sets[p] = std::move(set);
+    if (guard != nullptr && guard->tripped()) break;
   }
-  metrics.view_tuples_scanned = metrics.cost.view_tuples_scanned;
-  span.Attr("view_tuples_scanned", metrics.view_tuples_scanned);
+  if (record_miss && (guard == nullptr || !guard->tripped())) {
+    adaptive_->RecordMiss(query.context, fold_timer.ElapsedMillis());
+  }
 
   // Keywords without a parameter column (|L_w| < T_C) are computed at
-  // query time; their short lists make this cheap (Section 6.2). No
-  // ContextSet is built for them: the L_w-driven join touches less than
-  // materializing a large D_P would.
-  metrics.keywords_uncovered_by_view = AddUncoveredKeywordStats(
-      query, qstats, covered, parts, metrics.cost, guard, span.ctx(), stats);
+  // query time over the view-served parts only (straightforward-served
+  // parts already carry full per-keyword statistics); their short lists
+  // make this cheap (Section 6.2). No ContextSet is built for them: the
+  // L_w-driven join touches less than materializing a large D_P would.
+  metrics.keywords_uncovered_by_view =
+      AddUncoveredKeywordStats(query, qstats, covered, view_served,
+                               metrics.cost, guard, span.ctx(), stats);
+
+  if (view == nullptr) {
+    metrics.plan = "stats: straightforward (Figure 3): gamma over ";
+    metrics.plan += std::to_string(query.context.size());
+    metrics.plan += "-way context intersection + ";
+    metrics.plan += std::to_string(qstats.keywords.size());
+    metrics.plan += " per-keyword intersections";
+    if (parts.size() > 1) {
+      metrics.plan += " over " + std::to_string(parts.size()) + " segments";
+    }
+    if (with_views) {
+      metrics.plan += " [";
+      metrics.plan += reason;
+      metrics.plan += "]";
+    }
+    span.Attr("reason", reason);
+    return stats;
+  }
+  uint64_t tuples = av != nullptr ? av->NumTuples() : view->NumTuples();
+  metrics.used_view = true;
+  metrics.used_adaptive_view = av != nullptr;
+  metrics.view_tuples_scanned = metrics.cost.view_tuples_scanned;
+  metrics.plan = av != nullptr ? "stats: adaptive view scan over V_K (|K|="
+                               : "stats: view scan over V_K (|K|=";
+  metrics.plan += std::to_string(view->def().num_columns()) + ", " +
+                  std::to_string(tuples) + " tuples";
+  if (av != nullptr) metrics.plan += ", v" + std::to_string(aversion->version);
+  metrics.plan += ")";
+  if (delta_folds > 0) {
+    metrics.plan += " + " + std::to_string(delta_folds) + " segment delta(s)";
+  }
+  if (stale_parts > 0) {
+    metrics.plan += " + " + std::to_string(stale_parts) +
+                    " stale segment(s) answered straightforwardly";
+  }
   if (metrics.keywords_uncovered_by_view > 0) {
     metrics.plan += " + " +
                     std::to_string(metrics.keywords_uncovered_by_view) +
                     " query-time df intersection(s) for untracked keywords";
+  }
+  span.Attr("view_columns", static_cast<uint64_t>(view->def().num_columns()));
+  span.Attr("view_tuples", tuples);
+  span.Attr("view_tuples_scanned", metrics.view_tuples_scanned);
+  if (delta_folds > 0) hot_.view_delta_folds->Increment(delta_folds);
+  if (av != nullptr) {
+    span.Attr("catalog_version", aversion->version);
+    if (stale_parts > 0) adaptive_->NoteStalePartFallback(stale_parts);
+    adaptive_->RecordHit(query.context);
   }
   return stats;
 }

@@ -547,15 +547,29 @@ class ContextSearchEngine {
   static Result<std::unique_ptr<ContextSearchEngine>> Finish(
       std::unique_ptr<ContextSearchEngine> engine);
 
-  /// Context statistics by the cheapest usable plan. Every part the
-  /// straightforward plan serves leaves its complete ContextSet in
-  /// `sets[part index]` (sized to `parts`) for retrieval to reuse.
+  /// Context statistics by the cheapest usable plan: one view resolved
+  /// from the offline catalog or the adaptive cache, gated once, then one
+  /// fold over the parts (a view-less part runs the straightforward
+  /// plan). Every part the straightforward plan serves leaves its
+  /// complete ContextSet in `sets[part index]` (sized to `parts`) for
+  /// retrieval to reuse.
   CollectionStats ComputeContextStats(
       const ContextQuery& query, const QueryStats& qstats, bool with_views,
       SearchMetrics& metrics, ScanGuard* guard,
       std::span<const SearchPart> parts,
       std::vector<std::optional<ContextSet>>& sets,
       TraceContext tctx = {}) const;
+
+  /// The overload gate of the view path (DESIGN.md §13), shared by both
+  /// view sources: the circuit breaker, then the kViewRead read with
+  /// retries drawn from the global budget. Returns the fallback reason
+  /// when the view must not be read (marking `metrics` degraded when a
+  /// fault persisted), or an empty string when it may.
+  std::string_view GateViewRead(SearchMetrics& metrics) const;
+
+  /// The parameter columns every view of this engine carries: df always,
+  /// tc and the year buckets as configured.
+  ViewParamOptions ViewParams() const;
 
   /// Query-time df (and tc) of the keywords the view's parameter columns
   /// do not cover (`covered[i]` false), summed over the view-served

@@ -1,6 +1,8 @@
 #ifndef CSR_STATS_STATISTICS_H_
 #define CSR_STATS_STATISTICS_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,6 +48,21 @@ struct CollectionStats {
                ? 0.0
                : static_cast<double>(total_length) /
                      static_cast<double>(cardinality);
+  }
+
+  /// Adds the statistics of a disjoint document set aligned with the same
+  /// keywords. Every field is an integer sum, so folding the parts of a
+  /// partitioned collection reproduces the whole bit for bit. tc is summed
+  /// only where both sides carry it (it is empty when not computed).
+  void Add(const CollectionStats& other) {
+    cardinality += other.cardinality;
+    total_length += other.total_length;
+    for (size_t i = 0; i < std::min(df.size(), other.df.size()); ++i) {
+      df[i] += other.df[i];
+    }
+    for (size_t i = 0; i < std::min(tc.size(), other.tc.size()); ++i) {
+      tc[i] += other.tc[i];
+    }
   }
 };
 

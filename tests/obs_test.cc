@@ -508,6 +508,51 @@ TEST(QueryTraceTest, AdaptiveViewTracesUntrackedKeywordDf) {
   EXPECT_FALSE(df->AttrValue("bytes_touched").empty());
 }
 
+TEST(QueryTraceTest, AdaptiveViewFoldsDeltasLikeCatalogViews) {
+  // A segmented engine (appends past mem_segment_max_docs seal segments)
+  // whose only view source is the adaptive cache, built after the appends
+  // so every part has a fresh delta.
+  Corpus full = ObsCorpus();
+  Corpus prefix = full;
+  prefix.docs.resize(1500);
+  prefix.config.num_docs = 1500;
+  EngineConfig ecfg;
+  ecfg.trace_sample_rate = 1.0;
+  ecfg.mem_segment_max_docs = 400;
+  ecfg.adaptive_view_budget_bytes = 8ull << 20;
+  ecfg.adaptive_min_score_ms = 0.00001;  // one miss funds an install
+  ecfg.adaptive_cooldown_steps = 1;
+  auto engine = ContextSearchEngine::Build(std::move(prefix), ecfg).value();
+  ASSERT_TRUE(engine
+                  ->AppendDocuments(std::vector<Document>(
+                      full.docs.begin() + 1500, full.docs.end()))
+                  .ok());
+  ContextQuery q = ObsQuery(*engine, 1);
+  ASSERT_TRUE(engine->Search(q, EvaluationMode::kContextWithViews).ok());
+  ASSERT_TRUE(engine->AdaptiveStep());
+
+  const uint64_t folds_before =
+      engine->MetricsSnapshot().counters.at("view.delta.folds");
+  auto r = engine->Search(q, EvaluationMode::kContextWithViews);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(r->metrics.used_adaptive_view);
+  ASSERT_NE(r->trace, nullptr);
+  std::string segments(r->trace->root().AttrValue("segments"));
+  ASSERT_FALSE(segments.empty()) << "appends left a single part";
+  const uint64_t parts = std::stoul(segments);
+  ASSERT_GT(parts, 2u);
+
+  // Every part but the base folded its delta, counted as the catalog
+  // path counts its own.
+  EXPECT_EQ(engine->MetricsSnapshot().counters.at("view.delta.folds"),
+            folds_before + (parts - 1));
+  const TraceSpan* plan = r->trace->root().Find("plan:adaptive_view");
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->AttrValue("view_tuples_scanned"),
+            std::to_string(r->metrics.view_tuples_scanned));
+  EXPECT_GT(r->metrics.view_tuples_scanned, 0u);
+}
+
 TEST(QueryTraceTest, SamplingTracesEveryNthQuery) {
   EngineConfig ecfg;
   ecfg.trace_sample_rate = 0.5;  // every 2nd query

@@ -1,5 +1,6 @@
-// Overload-resilience suite (ctest -L overload; also runs in the TSan
-// lane). Covers the serving QoS stack of DESIGN.md §13:
+// Overload-resilience suite (ctest -L overload; the view-read storm cases
+// also make it part of ctest -L fault, and it runs in the TSan lane).
+// Covers the serving QoS stack of DESIGN.md §13:
 //
 //  1. Retry primitives: decorrelated-jitter backoff, the global retry
 //     budget's withdraw/deposit accounting, and the circuit breaker's
@@ -15,7 +16,9 @@
 //  4. Differential under fault storm: with a seeded 10% view-read fault
 //     rate, every admitted query's docs and scores stay bit-identical to
 //     a sequential no-fault baseline — retries, breaker fallbacks, and
-//     concurrency may change the plan, never the arithmetic.
+//     concurrency may change the plan, never the arithmetic. The storm
+//     and breaker cases run once per view source (offline catalog,
+//     adaptive cache), since both pass the same gate.
 
 #include <gtest/gtest.h>
 
@@ -378,31 +381,94 @@ TEST(ExecutorTenantTest, QosMetricNamesRoundTripThroughSnapshotJson) {
 
 // --------------------------------------- fault storm, bit-for-bit scores
 
-TEST(FaultStormTest, StormScoresBitIdenticalToSequentialBaseline) {
+// The two sources of the with-views plan. Both pass the same breaker /
+// retry-budget / kViewRead gate, so every storm case runs against each.
+enum class ViewSource { kOfflineCatalog, kAdaptiveCache };
+
+std::string ViewSourceName(const testing::TestParamInfo<ViewSource>& info) {
+  return info.param == ViewSource::kOfflineCatalog ? "OfflineCatalog"
+                                                   : "AdaptiveCache";
+}
+
+class FaultStormTest : public testing::TestWithParam<ViewSource> {
+ protected:
+  bool adaptive() const { return GetParam() == ViewSource::kAdaptiveCache; }
+
+  /// The default config, plus the adaptive cache when it is the source.
+  EngineConfig Config() const {
+    EngineConfig ecfg;
+    if (adaptive()) {
+      ecfg.adaptive_view_budget_bytes = 8ull << 20;
+      ecfg.adaptive_min_score_ms = 0.00001;  // one miss funds an install
+      ecfg.adaptive_cooldown_steps = 1;
+    }
+    return ecfg;
+  }
+
+  /// Installs the views `queries` are answered from: the {0,1,2,3}
+  /// catalog view, or — with no catalog at all — adaptive views warmed by
+  /// one miss per context and AdaptiveStep until the cache settles.
+  void InstallViews(ContextSearchEngine& engine,
+                    const std::vector<ContextQuery>& queries) const {
+    if (!adaptive()) {
+      ASSERT_TRUE(
+          engine.MaterializeViews({ViewDefinition{{0, 1, 2, 3}}}).ok());
+      return;
+    }
+    for (const ContextQuery& q : queries) {
+      ASSERT_TRUE(engine.Search(q, EvaluationMode::kContextWithViews).ok());
+    }
+    for (int i = 0; i < 64; ++i) {
+      if (!engine.AdaptiveStep()) break;
+    }
+  }
+
+  /// True when `r` was answered from this case's view source.
+  bool FromSource(const SearchResult& r) const {
+    return r.metrics.used_view && r.metrics.used_adaptive_view == adaptive();
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(ViewSources, FaultStormTest,
+                         testing::Values(ViewSource::kOfflineCatalog,
+                                         ViewSource::kAdaptiveCache),
+                         ViewSourceName);
+
+TEST_P(FaultStormTest, StormScoresBitIdenticalToSequentialBaseline) {
   RetryBudget::Global().Reset();
-  EngineConfig ecfg;
+  EngineConfig ecfg = Config();
   ecfg.view_breaker.failure_threshold = 2;
   ecfg.view_breaker.open_ms = 5.0;
   auto engine = ContextSearchEngine::Build(SmallCorpus(), ecfg).value();
-  ASSERT_TRUE(engine->MaterializeViews({ViewDefinition{{0, 1, 2, 3}}}).ok());
-  std::vector<ContextQuery> queries = FixedWorkload(*engine, 48);
+  // Enough view-served queries that the seeded storm reaches its first
+  // faulting draw on either source.
+  std::vector<ContextQuery> queries = FixedWorkload(*engine, 96);
+  ASSERT_NO_FATAL_FAILURE(InstallViews(*engine, queries));
 
   // Sequential no-fault baseline first: the ground truth ranking.
   std::vector<Result<SearchResult>> baseline;
+  size_t from_source = 0;
   for (const ContextQuery& q : queries) {
     baseline.push_back(engine->Search(q, EvaluationMode::kContextWithViews));
+    if (baseline.back().ok() && FromSource(baseline.back().value())) {
+      ++from_source;
+    }
   }
+  ASSERT_GT(from_source, queries.size() / 3);
 
   // Deterministic 10% view-read fault storm under a concurrent executor.
   // Whatever mix of retries, degraded fallbacks, and breaker
   // short-circuits each query experiences, views are exact aggregates:
   // docs and scores must not move by a single bit.
+  const uint64_t faults_before = engine->degradation().view_read_faults;
   std::vector<Result<SearchResult>> stormed;
   {
     ScopedFaultRate storm(FaultPoint::kViewRead, 0.10, /*seed=*/0x57042);
     QueryExecutor executor(engine.get(), {/*num_threads=*/4, 256});
     stormed = executor.SearchBatch(queries, EvaluationMode::kContextWithViews);
   }
+  // The storm reached this source's view reads.
+  EXPECT_GT(engine->degradation().view_read_faults, faults_before);
 
   ASSERT_EQ(stormed.size(), baseline.size());
   for (size_t i = 0; i < stormed.size(); ++i) {
@@ -420,21 +486,21 @@ TEST(FaultStormTest, StormScoresBitIdenticalToSequentialBaseline) {
   RetryBudget::Global().Reset();
 }
 
-TEST(FaultStormTest, BreakerShortCircuitIsExactAndNotDegraded) {
+TEST_P(FaultStormTest, BreakerShortCircuitIsExactAndNotDegraded) {
   RetryBudget::Global().Reset();
-  EngineConfig ecfg;
+  EngineConfig ecfg = Config();
   // One unretried failure trips the breaker; a long cooldown keeps it
   // open for the rest of the test.
   ecfg.view_retry.max_attempts = 1;
   ecfg.view_breaker.failure_threshold = 1;
   ecfg.view_breaker.open_ms = 60000.0;
   auto engine = ContextSearchEngine::Build(SmallCorpus(), ecfg).value();
-  ASSERT_TRUE(engine->MaterializeViews({ViewDefinition{{0, 1, 2, 3}}}).ok());
 
   ContextQuery q = FixedWorkload(*engine, 1)[0];
+  ASSERT_NO_FATAL_FAILURE(InstallViews(*engine, {q}));
   auto via_view = engine->Search(q, EvaluationMode::kContextWithViews);
   ASSERT_TRUE(via_view.ok());
-  ASSERT_TRUE(via_view->metrics.used_view);
+  ASSERT_TRUE(FromSource(*via_view));
 
   {
     // A single injected fault: this query degrades to the
@@ -444,6 +510,8 @@ TEST(FaultStormTest, BreakerShortCircuitIsExactAndNotDegraded) {
     ASSERT_TRUE(faulted.ok());
     EXPECT_TRUE(faulted->metrics.degraded);
     EXPECT_TRUE(faulted->metrics.fell_back_to_straightforward);
+    EXPECT_FALSE(faulted->metrics.used_view);
+    EXPECT_FALSE(faulted->metrics.used_adaptive_view);
   }
   ASSERT_EQ(engine->view_breaker().state(), CircuitBreaker::State::kOpen);
 
