@@ -18,6 +18,12 @@
 // written as a `context_set` section for tools/check_bench_regression.py
 // --context-set-bench (perf_smoke_context_set ctest lane).
 //
+// A third table prices the ScanGuard every Search carries: the same D_P
+// build (ContextSet::Build) under an inert ScanGuard(0, 0) and with no
+// guard, interleaved query by query. Guarded and unguarded builds run the
+// same block kernels and differ only by the batched tick charges, so the
+// ratio stays near 1; the JSON field `guarded_over_unguarded` is gated.
+//
 // Scale with CSR_BENCH_DOCS (default 120k docs).
 
 #include <algorithm>
@@ -29,6 +35,7 @@
 #include "bench/bench_common.h"
 #include "eval/query_gen.h"
 #include "stats/collector.h"
+#include "stats/context_set.h"
 #include "stats/statistics.h"
 #include "util/timer.h"
 
@@ -136,6 +143,40 @@ int main(int argc, char** argv) {
   std::printf("\nGate: all-keywords / no-keywords ratio <= 2.0 "
               "(one m-way conjunction + k 2-way joins with D_P).\n");
 
+  // -- Guarded vs unguarded D_P build --------------------------------------
+  double guarded_total = 0, unguarded_total = 0;
+  for (uint32_t nk = 2; nk <= 5; ++nk) {
+    for (const ContextQuery& q : pool[nk]) {
+      double guarded_best = std::numeric_limits<double>::infinity();
+      double unguarded_best = guarded_best;
+      for (int rep = 0; rep < kProbeRepeats; ++rep) {
+        WallTimer timer;
+        ContextSet unguarded =
+            ContextSet::Build(content, predicate, q.context);
+        unguarded_best = std::min(unguarded_best, timer.ElapsedMillis());
+        ScanGuard guard(0, 0);
+        timer.Restart();
+        ContextSet guarded = ContextSet::Build(content, predicate, q.context,
+                                               nullptr, {}, {}, &guard);
+        guarded_best = std::min(guarded_best, timer.ElapsedMillis());
+      }
+      guarded_total += guarded_best;
+      unguarded_total += unguarded_best;
+    }
+  }
+  const double guard_ratio =
+      unguarded_total > 0 ? guarded_total / unguarded_total : 0.0;
+  std::printf("\n=== D_P build with an inert ScanGuard vs none (fastest of "
+              "%d interleaved runs per query) ===\n\n",
+              kProbeRepeats);
+  std::printf("%-10s %14s %16s %10s\n", "", "none (ms)", "guarded (ms)",
+              "ratio");
+  std::printf("%-10s %14.4f %16.4f %9.2fx\n", "all",
+              probed > 0 ? unguarded_total / probed : 0.0,
+              probed > 0 ? guarded_total / probed : 0.0, guard_ratio);
+  std::printf("\nGate: guarded / unguarded ratio <= 1.15 (one kernel, "
+              "batched tick charges).\n");
+
   if (!json_path.empty()) {
     bench::JsonWriter w;
     w.Open();
@@ -149,6 +190,11 @@ int main(int argc, char** argv) {
     w.Field("straightforward_ms_mean", probed > 0 ? sf_total / probed : 0.0);
     w.Field("straightforward_over_conj", ratio);
     w.Field("cardinality_mismatches", mismatches);
+    w.Field("unguarded_build_ms_mean",
+            probed > 0 ? unguarded_total / probed : 0.0);
+    w.Field("guarded_build_ms_mean",
+            probed > 0 ? guarded_total / probed : 0.0);
+    w.Field("guarded_over_unguarded", guard_ratio);
     w.CloseObject();
     w.Close();
     if (Status s = w.WriteFile(json_path); !s.ok()) {

@@ -1094,18 +1094,33 @@ class PairwiseSide {
 /// above the probe block's first possible docid — exactly what
 /// PairwiseSide::Contains charged, and independent of the dispatch level,
 /// so counters stay bit-identical under CSR_FORCE_SCALAR differentials.
+///
+/// A non-null `guard` is charged one tick per `drv` docid no greater than
+/// the probe list's last docid, block by block before the block is
+/// probed; the scan stops when it trips.
 template <typename Sink>
 void PairwiseIntersectImpl(const CompressedPostingList& drv,
                            const CompressedPostingList& oth,
                            CostCounters* drv_cost, CostCounters* oth_cost,
-                           bool merge_probe, Sink&& sink) {
+                           bool merge_probe, ScanGuard* guard, Sink&& sink) {
   PairwiseSide a(drv, drv_cost);
   PairwiseSide b(oth, oth_cost);
   std::vector<DocId> matches;  // kernel scratch, reused across windows
   const size_t nblocks = drv.num_blocks();
+  const DocId oth_last = oth.blocks().back().max_doc;
   for (size_t db = 0; db < nblocks; ++db) {
     a.MoveTo(db);
     const auto& m = a.meta();
+    if (guard != nullptr) {
+      uint64_t ticks = m.count;
+      if (m.max_doc > oth_last) {
+        std::span<const DocId> docs = a.Docs();
+        ticks = static_cast<uint64_t>(
+            std::upper_bound(docs.begin(), docs.end(), oth_last) -
+            docs.begin());
+      }
+      if (guard->Charge(ticks)) return;
+    }
     // Candidates live in [base, max_doc] for the very first block (docid
     // 0 can equal base 0) and (base, max_doc] afterwards.
     uint64_t next_d = static_cast<uint64_t>(m.base) + (db == 0 ? 0 : 1);
@@ -1257,8 +1272,8 @@ bool PairwiseMergeProbe(const CompressedPostingList& drv,
 
 uint64_t CountPairwiseIntersection(const CompressedPostingList& a,
                                    const CompressedPostingList& b,
-                                   CostCounters* cost_a,
-                                   CostCounters* cost_b) {
+                                   CostCounters* cost_a, CostCounters* cost_b,
+                                   ScanGuard* guard) {
   if (a.empty() || b.empty()) return 0;
   const bool a_drives = a.size() <= b.size();
   const CompressedPostingList& drv = a_drives ? a : b;
@@ -1266,7 +1281,7 @@ uint64_t CountPairwiseIntersection(const CompressedPostingList& a,
   CountSink sink;
   PairwiseIntersectImpl(drv, oth, a_drives ? cost_a : cost_b,
                         a_drives ? cost_b : cost_a,
-                        PairwiseMergeProbe(drv, oth), sink);
+                        PairwiseMergeProbe(drv, oth), guard, sink);
   return sink.n;
 }
 
@@ -1283,7 +1298,8 @@ uint64_t ScanPairwiseIntersection(const CompressedPostingList& a,
 uint64_t ScanPairwiseIntersectionBatches(
     const CompressedPostingList& a, const CompressedPostingList& b,
     CostCounters* cost_a, CostCounters* cost_b,
-    const std::function<void(std::span<const DocId>)>& on_batch) {
+    const std::function<void(std::span<const DocId>)>& on_batch,
+    ScanGuard* guard) {
   if (a.empty() || b.empty()) return 0;
   const bool a_drives = a.size() <= b.size();
   const CompressedPostingList& drv = a_drives ? a : b;
@@ -1291,22 +1307,28 @@ uint64_t ScanPairwiseIntersectionBatches(
   BatchSink sink(&on_batch);
   PairwiseIntersectImpl(drv, oth, a_drives ? cost_a : cost_b,
                         a_drives ? cost_b : cost_a,
-                        PairwiseMergeProbe(drv, oth), sink);
+                        PairwiseMergeProbe(drv, oth), guard, sink);
   sink.Flush();
   return sink.n;
 }
 
 namespace {
 
+inline DocId DocOf(const Posting& p) { return p.doc; }
+inline DocId DocOf(DocId d) { return d; }
+
 /// The first index in [from, run.size()) whose docid exceeds `d`, by
 /// galloping then binary search.
-size_t RunUpperBound(std::span<const Posting> run, size_t from, DocId d) {
+template <typename Run>
+size_t RunUpperBound(std::span<const Run> run, size_t from, DocId d) {
   size_t bound = 1;
-  while (from + bound < run.size() && run[from + bound].doc <= d) bound <<= 1;
+  while (from + bound < run.size() && DocOf(run[from + bound]) <= d) {
+    bound <<= 1;
+  }
   auto it = std::upper_bound(
       run.begin() + from + bound / 2,
       run.begin() + std::min(from + bound, run.size()), d,
-      [](DocId v, const Posting& p) { return v < p.doc; });
+      [](DocId v, const Run& p) { return v < DocOf(p); });
   return static_cast<size_t>(it - run.begin());
 }
 
@@ -1314,8 +1336,8 @@ size_t RunUpperBound(std::span<const Posting> run, size_t from, DocId d) {
 /// increasing), calling on_match(j) for each shared docs[j] when
 /// `positions` is set. Comparable sizes merge, branch-free when only the
 /// count is needed; a side 8x shorter gallops through the longer.
-template <typename OnMatch>
-uint64_t MatchWindow(std::span<const Posting> window,
+template <typename Run, typename OnMatch>
+uint64_t MatchWindow(std::span<const Run> window,
                      std::span<const DocId> docs, bool positions,
                      OnMatch&& on_match) {
   uint64_t n = 0;
@@ -1326,10 +1348,10 @@ uint64_t MatchWindow(std::span<const Posting> window,
     size_t a = 0;  // cursor in the longer side
     const size_t long_n = window_short ? nd : nw;
     auto long_doc = [&](size_t k) {
-      return window_short ? docs[k] : window[k].doc;
+      return window_short ? docs[k] : DocOf(window[k]);
     };
     for (size_t k = 0; k < (window_short ? nw : nd); ++k) {
-      const DocId d = window_short ? window[k].doc : docs[k];
+      const DocId d = window_short ? DocOf(window[k]) : docs[k];
       size_t bound = 1;
       while (a + bound < long_n && long_doc(a + bound) < d) bound <<= 1;
       size_t lo = a + bound / 2;
@@ -1355,7 +1377,7 @@ uint64_t MatchWindow(std::span<const Posting> window,
   size_t b = 0;
   if (!positions) {
     while (a < nw && b < nd) {
-      const DocId x = window[a].doc;
+      const DocId x = DocOf(window[a]);
       const DocId y = docs[b];
       n += x == y;
       a += x <= y;
@@ -1364,7 +1386,7 @@ uint64_t MatchWindow(std::span<const Posting> window,
     return n;
   }
   while (a < nw && b < nd) {
-    const DocId x = window[a].doc;
+    const DocId x = DocOf(window[a]);
     const DocId y = docs[b];
     if (x == y) {
       ++n;
@@ -1380,52 +1402,56 @@ uint64_t MatchWindow(std::span<const Posting> window,
   return n;
 }
 
-}  // namespace
+/// What a run-with-list block walk reports per match: nothing (a count),
+/// the match's index in the decoded block (to read its tf), or its docid.
+enum class JoinOut { kCount, kTf, kDocs };
 
-RunJoinResult JoinRunWithList(std::span<const Posting> run,
-                              const CompressedPostingList& list, bool with_tf,
-                              CostCounters* cost, ScanGuard* guard) {
+/// The block walk behind JoinRunWithList and SemiJoinRunWithList. For
+/// kTf and kDocs, calls on_match(side, doc, j) for every run docid the
+/// list holds, in increasing order; j is the docid's index in
+/// side.Docs(), except on bitmap probes (kCount and kDocs only), which
+/// pass 0. Guard ticks follow the join tick rule in codec.h.
+template <JoinOut kOut, typename Run, typename OnMatch>
+RunJoinResult JoinRunImpl(std::span<const Run> run,
+                          const CompressedPostingList& list,
+                          CostCounters* cost, ScanGuard* guard,
+                          OnMatch&& on_match) {
   RunJoinResult out;
   if (run.empty() || list.empty()) return out;
   const auto blocks = list.blocks();
   const bool run_drives = run.size() <= list.size();
-  const DocId run_last = run.back().doc;
-  auto tick = [&](uint64_t n) {
-    if (guard == nullptr) return false;
-    for (uint64_t k = 0; k < n; ++k) {
-      if (guard->Tick()) {
-        out.aborted = true;
-        return true;
-      }
-    }
-    return false;
+  const DocId run_last = DocOf(run.back());
+  auto charge = [&](uint64_t n) {
+    if (guard == nullptr || !guard->Charge(n)) return false;
+    out.aborted = true;
+    return true;
   };
   // When the list drives, every one of its postings up to run_last ticks:
   // blocks before `ticked` are charged as the walk passes them.
   size_t ticked = 0;
-  auto tick_blocks_before = [&](size_t b) {
+  auto charge_blocks_before = [&](size_t b) {
     uint64_t n = 0;
     for (; ticked < b; ++ticked) n += blocks[ticked].count;
-    return tick(n);
+    return charge(n);
   };
   PairwiseSide side(list, cost);
   size_t i = 0;
   while (i < run.size()) {
-    if (!side.SeekBlock(run[i].doc)) {
+    if (!side.SeekBlock(DocOf(run[i]))) {
       // The rest of the run lies past the list, whose unticked postings
       // all precede run_last.
-      if (!run_drives) tick_blocks_before(blocks.size());
+      if (!run_drives) charge_blocks_before(blocks.size());
       break;
     }
     const size_t b = side.current_block();
     const auto& meta = side.meta();
     const size_t end = RunUpperBound(run, i, meta.max_doc);
-    std::span<const Posting> window = run.subspan(i, end - i);
+    std::span<const Run> window = run.subspan(i, end - i);
     i = end;
     if (run_drives) {
-      if (tick(window.size())) return out;
+      if (charge(window.size())) return out;
     } else {
-      if (tick_blocks_before(b)) return out;
+      if (charge_blocks_before(b)) return out;
       ticked = b + 1;
       uint64_t n = meta.count;
       if (meta.max_doc > run_last) {
@@ -1434,21 +1460,57 @@ RunJoinResult JoinRunWithList(std::span<const Posting> run,
             std::upper_bound(docs.begin(), docs.end(), run_last) -
             docs.begin());
       }
-      if (tick(n)) return out;
+      if (charge(n)) return out;
     }
     if (cost != nullptr) cost->entries_scanned += window.size();
-    if (!with_tf && side.IsBitmap() && window.size() <= 2 * meta.count) {
+    if (kOut != JoinOut::kTf && side.IsBitmap() &&
+        window.size() <= 2 * meta.count) {
       const BitmapBlockCodec::View& view = side.View();
-      for (const Posting& p : window) out.matches += view.Test(p.doc);
+      for (const Run& p : window) {
+        const bool hit = view.Test(DocOf(p));
+        out.matches += hit;
+        if constexpr (kOut == JoinOut::kDocs) {
+          if (hit) on_match(side, DocOf(p), 0);
+        }
+      }
       continue;
     }
     std::span<const DocId> docs = side.Docs();
     if (cost != nullptr) cost->entries_scanned += docs.size();
-    out.matches += MatchWindow(window, docs, with_tf, [&](size_t j) {
-      std::span<const uint32_t> tfs = side.Tfs();
-      if (j < tfs.size()) out.tf_sum += tfs[j];
-    });
+    out.matches += MatchWindow(window, docs, kOut != JoinOut::kCount,
+                               [&](size_t j) { on_match(side, docs[j], j); });
   }
+  return out;
+}
+
+}  // namespace
+
+RunJoinResult JoinRunWithList(std::span<const Posting> run,
+                              const CompressedPostingList& list, bool with_tf,
+                              CostCounters* cost, ScanGuard* guard) {
+  if (!with_tf) {
+    return JoinRunImpl<JoinOut::kCount>(run, list, cost, guard,
+                                        [](PairwiseSide&, DocId, size_t) {});
+  }
+  uint64_t tf_sum = 0;
+  RunJoinResult out = JoinRunImpl<JoinOut::kTf>(
+      run, list, cost, guard, [&tf_sum](PairwiseSide& side, DocId, size_t j) {
+        std::span<const uint32_t> tfs = side.Tfs();
+        if (j < tfs.size()) tf_sum += tfs[j];
+      });
+  out.tf_sum = tf_sum;
+  return out;
+}
+
+RunJoinResult SemiJoinRunWithList(
+    std::span<const DocId> run, const CompressedPostingList& list,
+    CostCounters* cost, ScanGuard* guard,
+    const std::function<void(std::span<const DocId>)>& on_batch) {
+  BatchSink sink(&on_batch);
+  RunJoinResult out = JoinRunImpl<JoinOut::kDocs>(
+      run, list, cost, guard,
+      [&sink](PairwiseSide&, DocId d, size_t) { sink.Doc(d); });
+  sink.Flush();
   return out;
 }
 

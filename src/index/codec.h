@@ -414,22 +414,30 @@ class CompressedPostingList {
   std::array<uint64_t, 3> codec_counts_{};  // indexed by BlockCodec
 };
 
-/// Block-wise pairwise intersection — the guard-free fast path the
-/// entry points in intersection.h route two-list conjunctions through.
-/// Drives with the shorter list; bitmap blocks are consumed via word-wise
-/// AND (both sides bitmap) or O(1) membership probes (one side bitmap),
-/// array blocks are SIMD-decoded once per block and probed by galloping
-/// or linear merge steps per ChooseIntersectStrategy. Blocks whose range
-/// cannot overlap the other list are skipped without decoding, and decode
-/// bytes are charged to CostCounters exactly once per block touched.
-/// Matches arrive in increasing docid order. Guarded scans must use
-/// ConjunctionIterator instead: its per-candidate ScanGuard ticks are
-/// representation-independent, which the degradation-parity contract
-/// relies on.
+/// Block-wise pairwise intersection — the kernel the entry points in
+/// intersection.h route two-list conjunctions over compressed lists
+/// through, guarded or not. Drives with the shorter list; bitmap blocks
+/// are consumed via word-wise AND (both sides bitmap) or O(1) membership
+/// probes (one side bitmap), array blocks are SIMD-decoded once per block
+/// and probed by galloping or linear merge steps per
+/// ChooseIntersectStrategy. Blocks whose range cannot overlap the other
+/// list are skipped without decoding, and decode bytes are charged to
+/// CostCounters exactly once per block touched. Matches arrive in
+/// increasing docid order.
+///
+/// Join tick rule, shared by every block kernel and by the plain-list
+/// joins in ContextSet: a join of a shorter side S with a longer side L
+/// (S = the first side, or the run, on a tie) ticks `guard` once per docid
+/// of S no greater than L's last docid, charged with ScanGuard::Charge
+/// block by block before the block is probed. The count depends on the
+/// docids alone, so a budget or an armed fault trips at the same tick
+/// whichever representation backs either side. After a trip the scan
+/// stops (guard->tripped()) and the matches seen are a prefix.
 uint64_t CountPairwiseIntersection(const CompressedPostingList& a,
                                    const CompressedPostingList& b,
                                    CostCounters* cost_a = nullptr,
-                                   CostCounters* cost_b = nullptr);
+                                   CostCounters* cost_b = nullptr,
+                                   ScanGuard* guard = nullptr);
 uint64_t ScanPairwiseIntersection(const CompressedPostingList& a,
                                   const CompressedPostingList& b,
                                   CostCounters* cost_a, CostCounters* cost_b,
@@ -441,7 +449,8 @@ inline constexpr size_t kPairwiseBatch = 256;
 uint64_t ScanPairwiseIntersectionBatches(
     const CompressedPostingList& a, const CompressedPostingList& b,
     CostCounters* cost_a, CostCounters* cost_b,
-    const std::function<void(std::span<const DocId>)>& on_batch);
+    const std::function<void(std::span<const DocId>)>& on_batch,
+    ScanGuard* guard = nullptr);
 
 /// Outcome of JoinRunWithList: how many run docids the list holds, the
 /// sum of their tfs in the list (when asked for), and whether the guard
@@ -459,16 +468,20 @@ struct RunJoinResult {
 /// probed by O(1) bit tests without expansion (unless `with_tf` needs
 /// positions or the window outnumbers the block), and any other block is
 /// decoded once and intersected by galloping the smaller side through the
-/// larger. Probes and decode bytes are charged to `cost`.
-///
-/// `guard` ticks once per docid of the shorter side (the run on a tie)
-/// that is no greater than the longer side's last docid, charged block by
-/// block before the block is probed. The count depends on the docids
-/// alone, so a budget trips at the same point whichever representation
-/// backs the list (ContextSet::IntersectWith ticks plain lists the same).
+/// larger. Probes and decode bytes are charged to `cost`, and `guard`
+/// ticks by the join tick rule above (the run is S on a tie).
 RunJoinResult JoinRunWithList(std::span<const Posting> run,
                               const CompressedPostingList& list, bool with_tf,
                               CostCounters* cost, ScanGuard* guard);
+
+/// The same block walk as a semijoin: hands the run docids the list holds
+/// to `on_batch` in ascending runs of up to kPairwiseBatch, with the same
+/// cost charges and guard ticks. ContextSet::Build folds each predicate
+/// list after the first two into D_P with it.
+RunJoinResult SemiJoinRunWithList(
+    std::span<const DocId> run, const CompressedPostingList& list,
+    CostCounters* cost, ScanGuard* guard,
+    const std::function<void(std::span<const DocId>)>& on_batch);
 
 /// Counts the intersection of two compressed lists; exercised by tests
 /// and the codec ablation. Delegates to CountPairwiseIntersection.

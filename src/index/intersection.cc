@@ -11,7 +11,7 @@ namespace csr {
 ConjunctionIterator::ConjunctionIterator(
     std::span<const PostingList* const> lists, CostCounters* cost,
     ScanGuard* guard)
-    : guard_(guard) {
+    : guard_(guard), granted_(guard == nullptr ? UINT64_MAX : 0) {
   std::vector<PostingCursor> cursors;
   cursors.reserve(lists.size());
   for (const PostingList* l : lists) cursors.emplace_back(l, cost);
@@ -20,7 +20,7 @@ ConjunctionIterator::ConjunctionIterator(
 
 ConjunctionIterator::ConjunctionIterator(std::vector<PostingCursor> cursors,
                                          ScanGuard* guard)
-    : guard_(guard) {
+    : guard_(guard), granted_(guard == nullptr ? UINT64_MAX : 0) {
   Init(std::move(cursors));
 }
 
@@ -49,7 +49,7 @@ void ConjunctionIterator::Init(std::vector<PostingCursor> cursors) {
   }
   // Pick each probe cursor's advance strategy once, from its length ratio
   // against the driver. Bitmap-heavy pairs report kBitmapAnd, which the
-  // k-way leapfrog can't exploit (that's the guard-free pairwise kernel's
+  // k-way leapfrog can't exploit (that's the block-pairwise kernel's
   // job) — treat it as gallop here.
   strategy_.assign(iters_.size(), IntersectStrategy::kGallop);
   if (iters_.size() > 1) {
@@ -74,29 +74,35 @@ void ConjunctionIterator::AdvanceTo(size_t k, DocId target) {
 
 void ConjunctionIterator::FindNextMatch() {
   // Leapfrog: propose the driver's doc, skip every other list to it; on a
-  // miss, re-propose the larger doc.
+  // miss, re-propose the larger doc. Each proposal takes one tick of the
+  // grant, counted in a local so the loop never stores through guard_.
   if (first_) {
     first_ = false;
   } else {
     iters_[0].Next();
   }
+  uint64_t granted = granted_;
   while (true) {
     if (iters_[0].AtEnd()) {
       at_end_ = true;
-      return;
+      break;
     }
-    if (guard_ != nullptr && guard_->Tick()) {
-      at_end_ = true;
-      aborted_ = true;
-      return;
+    if (granted == 0) {
+      granted = guard_->Grant();
+      if (granted == 0) {
+        at_end_ = true;
+        aborted_ = true;
+        break;
+      }
     }
+    --granted;
     DocId candidate = iters_[0].doc();
     bool all_match = true;
     for (size_t k = 1; k < iters_.size(); ++k) {
       AdvanceTo(k, candidate);
       if (iters_[k].AtEnd()) {
         at_end_ = true;
-        return;
+        break;
       }
       if (iters_[k].doc() != candidate) {
         // Re-align the driver to the larger doc and restart.
@@ -105,11 +111,20 @@ void ConjunctionIterator::FindNextMatch() {
         break;
       }
     }
+    if (at_end_) break;
     if (all_match) {
       current_doc_ = candidate;
-      return;
+      break;
     }
   }
+  granted_ = granted;
+  if (at_end_) ReleaseGrant();
+}
+
+void ConjunctionIterator::ReleaseGrant() {
+  if (guard_ == nullptr) return;
+  guard_->Refund(granted_);
+  granted_ = 0;
 }
 
 void ConjunctionIterator::Next() { FindNextMatch(); }
@@ -157,19 +172,18 @@ uint64_t CountIntersection(std::span<const PostingList* const> lists,
   return n;
 }
 
-bool PairwiseEligible(const std::vector<PostingCursor>& cursors,
-                      ScanGuard* guard) {
-  return guard == nullptr && cursors.size() == 2 && cursors[0].valid() &&
-         cursors[1].valid() && cursors[0].packed_source() != nullptr &&
+bool PairwiseEligible(const std::vector<PostingCursor>& cursors) {
+  return cursors.size() == 2 && cursors[0].valid() && cursors[1].valid() &&
+         cursors[0].packed_source() != nullptr &&
          cursors[1].packed_source() != nullptr;
 }
 
 uint64_t CountIntersection(std::vector<PostingCursor> cursors,
                            ScanGuard* guard) {
-  if (PairwiseEligible(cursors, guard)) {
+  if (PairwiseEligible(cursors)) {
     return CountPairwiseIntersection(
         *cursors[0].packed_source(), *cursors[1].packed_source(),
-        cursors[0].cost(), cursors[1].cost());
+        cursors[0].cost(), cursors[1].cost(), guard);
   }
   uint64_t n = 0;
   for (ConjunctionIterator it(std::move(cursors), guard); !it.AtEnd();
@@ -190,18 +204,6 @@ AggregationResult IntersectAndAggregate(
     if (cost != nullptr) cost->aggregation_entries++;
   }
   return agg;
-}
-
-std::string StrategyMixForSizes(std::vector<uint64_t> sizes) {
-  if (sizes.size() < 2) return "none";
-  std::sort(sizes.begin(), sizes.end());
-  size_t counts[5] = {};
-  for (size_t k = 0; k < sizes.size(); ++k) {
-    size_t other = k == 0 ? 1 : k;
-    counts[static_cast<size_t>(
-        ChooseIntersectStrategy(sizes[0], sizes[other], false, false))]++;
-  }
-  return FormatStrategyMix(counts);
 }
 
 void AttrIntersectionCostDelta(TraceSpan* span, const CostCounters& after,

@@ -36,8 +36,10 @@ class ConjunctionIterator {
  public:
   /// `lists` must be non-empty; null or empty lists yield an immediately
   /// exhausted iterator. An optional `guard` is charged one tick per
-  /// candidate advance; when it trips (deadline, budget, or injected
-  /// fault), the iterator stops early and reports aborted().
+  /// candidate advance, counted down locally from ScanGuard::Grant and
+  /// refunded when the iterator ends or dies; when it trips (deadline,
+  /// budget, or injected fault), the iterator stops early and reports
+  /// aborted().
   ConjunctionIterator(std::span<const PostingList* const> lists,
                       CostCounters* cost = nullptr,
                       ScanGuard* guard = nullptr);
@@ -46,6 +48,10 @@ class ConjunctionIterator {
   /// invalid cursor (missing term) yields an exhausted iterator.
   explicit ConjunctionIterator(std::vector<PostingCursor> cursors,
                                ScanGuard* guard = nullptr);
+
+  ~ConjunctionIterator() { ReleaseGrant(); }
+  ConjunctionIterator(const ConjunctionIterator&) = delete;
+  ConjunctionIterator& operator=(const ConjunctionIterator&) = delete;
 
   bool AtEnd() const { return at_end_; }
   DocId doc() const { return current_doc_; }
@@ -72,15 +78,18 @@ class ConjunctionIterator {
   void Init(std::vector<PostingCursor> cursors);
   void FindNextMatch();
   void AdvanceTo(size_t k, DocId target);
+  void ReleaseGrant();
 
   std::vector<PostingCursor> iters_;   // sorted by list length
   std::vector<size_t> order_inverse_;  // caller index -> iters_ index
   // Per-cursor advance strategy (ChooseIntersectStrategy vs the driver):
   // linear MergeTo for kMerge, galloping SkipTo for every other pick (the
-  // SIMD kernel strategies need decoded windows, which only the guard-free
-  // pairwise path has — here they just name how skewed the pair is).
+  // SIMD kernel strategies need decoded windows, which only the block
+  // kernels have — here they just name how skewed the pair is).
   std::vector<IntersectStrategy> strategy_;
   ScanGuard* guard_ = nullptr;
+  // Ticks left of the guard's current grant (UINT64_MAX with no guard).
+  uint64_t granted_ = 0;
   DocId current_doc_ = kInvalidDocId;
   bool at_end_ = false;
   bool aborted_ = false;
@@ -91,7 +100,9 @@ class ConjunctionIterator {
 std::vector<DocId> IntersectAll(std::span<const PostingList* const> lists,
                                 CostCounters* cost = nullptr);
 
-/// Returns |∩ lists| without materializing the result.
+/// Returns |∩ lists| without materializing the result. The cursor form
+/// runs PairwiseEligible conjunctions on the block-pairwise kernel and
+/// the rest on a ConjunctionIterator; either charges `guard`.
 uint64_t CountIntersection(std::span<const PostingList* const> lists,
                            CostCounters* cost = nullptr);
 uint64_t CountIntersection(std::vector<PostingCursor> cursors,
@@ -114,49 +125,10 @@ AggregationResult IntersectAndAggregate(
     std::span<const uint32_t> doc_lengths, CostCounters* cost = nullptr,
     ScanGuard* guard = nullptr);
 
-/// True when a conjunction over `cursors` can run on the guard-free
-/// block-pairwise kernel: exactly two valid compressed cursors and no
-/// guard. Guarded scans keep the leapfrog so ScanGuard ticks once per
-/// candidate — budget, deadline, and fault-injection semantics stay exact.
-bool PairwiseEligible(const std::vector<PostingCursor>& cursors,
-                      ScanGuard* guard);
-
-/// Calls `on_match(doc)` for every document of ∩ cursors, in increasing
-/// docid order: through the pairwise kernel when PairwiseEligible, by a
-/// plain walk of a single cursor, else through a ConjunctionIterator; the
-/// last two charge `guard` once per candidate. Returns true when the
-/// guard tripped, i.e. the matches seen are a prefix of the conjunction.
-template <typename OnMatch>
-bool ScanConjunction(std::vector<PostingCursor> cursors, ScanGuard* guard,
-                     OnMatch&& on_match) {
-  if (PairwiseEligible(cursors, guard)) {
-    ScanPairwiseIntersectionBatches(
-        *cursors[0].packed_source(), *cursors[1].packed_source(),
-        cursors[0].cost(), cursors[1].cost(),
-        [&on_match](std::span<const DocId> docs) {
-          for (DocId d : docs) on_match(d);
-        });
-    return false;
-  }
-  if (cursors.size() == 1) {
-    // One list is its own conjunction: walk it, ticking per posting as the
-    // leapfrog would, without the leapfrog's per-candidate bookkeeping.
-    for (PostingCursor& c = cursors[0]; !c.AtEnd(); c.Next()) {
-      if (guard != nullptr && guard->Tick()) return true;
-      on_match(c.doc());
-    }
-    return false;
-  }
-  ConjunctionIterator it(std::move(cursors), guard);
-  for (; !it.AtEnd(); it.Next()) on_match(it.doc());
-  return it.aborted();
-}
-
-/// The strategy mix a ConjunctionIterator would pick for cursors of these
-/// sizes (same choice rule as its Init). Lets tracing attribute the
-/// cost-model decision around helpers that hide the iterator
-/// (IntersectAndAggregate, CountIntersection).
-std::string StrategyMixForSizes(std::vector<uint64_t> sizes);
+/// True when a conjunction over `cursors` runs on the block-pairwise
+/// kernel (codec.h): exactly two valid compressed cursors. A guard does
+/// not change the choice; the kernel charges it by the join tick rule.
+bool PairwiseEligible(const std::vector<PostingCursor>& cursors);
 
 /// Copies the intersection-relevant cost-counter deltas accumulated since
 /// `before` onto `span` as attributes (entries_scanned, segments_touched,

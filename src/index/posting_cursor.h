@@ -97,7 +97,7 @@ class PostingCursor {
   }
 
   /// The compressed list backing this cursor, or nullptr when the term is
-  /// plain/missing. The guard-free pairwise fast path keys off this.
+  /// plain/missing. The block-pairwise kernel keys off this.
   const CompressedPostingList* packed_source() const { return packed_src_; }
   /// The uncompressed list backing this cursor, or nullptr.
   const PostingList* plain_source() const { return plain_src_; }

@@ -1,6 +1,7 @@
 #ifndef CSR_INDEX_SCAN_GUARD_H_
 #define CSR_INDEX_SCAN_GUARD_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -11,7 +12,9 @@
 namespace csr {
 
 /// Per-query resource guard charged on every posting-list conjunction
-/// advance. Bounds the work of a single query by a wall-clock deadline and
+/// advance: one Tick() at a time, n at a time (Charge), or through grants
+/// a scan counts down locally (Grant/Refund) — all three charge the same
+/// ticks. Bounds the work of a single query by a wall-clock deadline and
 /// a posting-scan budget, and carries the kPostingAdvance fault-injection
 /// point so tests can force a mid-scan media failure. A tripped guard makes
 /// every subsequent Tick() return true, so all iterators sharing the guard
@@ -70,6 +73,46 @@ class ScanGuard {
     return false;
   }
 
+  /// Charges n posting advances at once, exactly as n Tick() calls would:
+  /// returns true when one of them returns true, and trips on the same
+  /// tick with the same Trip. Runs of quiet ticks (QuietTicks) are added
+  /// in one step; every other tick goes through Tick().
+  bool Charge(uint64_t n) {
+    while (n > 0) {
+      if (trip_ != Trip::kNone) return true;
+      const uint64_t quiet = std::min(n, QuietTicks());
+      ticks_ += quiet;
+      n -= quiet;
+      if (n == 0) break;
+      if (Tick()) return true;
+      --n;
+    }
+    return false;
+  }
+
+  /// Grants the caller ticks to count itself, one per advance, without
+  /// touching the guard; returns how many (0 when the guard has tripped,
+  /// and the scan must stop). A grant ends just before the guard's next
+  /// event — the budget edge, a deadline poll, or, while any fault is
+  /// armed, every tick — or, when that next tick is itself the event,
+  /// runs it through Tick() and grants that one tick. Granted ticks are
+  /// charged at once; the holder hands the unused rest back with Refund
+  /// before anything reads ticks() or draws from the guard again, so
+  /// ticks(), trips, polls, and fault hits match one Tick() per advance.
+  /// A guard serves one grant holder at a time.
+  uint64_t Grant() {
+    if (trip_ != Trip::kNone) return 0;
+    const uint64_t quiet = QuietTicks();
+    if (quiet > 0) {
+      ticks_ += quiet;
+      return quiet;
+    }
+    return Tick() ? 0 : 1;
+  }
+
+  /// Returns `unused` ticks of the last Grant().
+  void Refund(uint64_t unused) { ticks_ -= unused; }
+
   bool tripped() const { return trip_ != Trip::kNone; }
   Trip trip() const { return trip_; }
   uint64_t ticks() const { return ticks_; }
@@ -108,6 +151,26 @@ class ScanGuard {
   }
 
  private:
+  /// Longest grant when nothing bounds the scan; far below any overflow.
+  static constexpr uint64_t kMaxGrant = uint64_t{1} << 40;
+
+  /// How many ticks after the current one Tick() would only count: none
+  /// while a fault is armed (each hit must reach the injector), else up
+  /// to the budget edge (tick budget_ + 1 trips) and the next deadline
+  /// poll (ticks 1, 65, 129, ...).
+  uint64_t QuietTicks() const {
+    if (FaultsArmed()) return 0;
+    uint64_t quiet = kMaxGrant;
+    if (budget_ != 0) quiet = std::min(quiet, budget_ - ticks_);
+    if (deadline_ms_ > 0) {
+      // The first t > ticks_ with t % 64 == 1 (unsigned wrap makes it 1
+      // for ticks_ == 0).
+      const uint64_t next_poll = ((ticks_ - 1) | 0x3F) + 2;
+      quiet = std::min(quiet, next_poll - ticks_ - 1);
+    }
+    return quiet;
+  }
+
   WallTimer timer_;
   double deadline_ms_;
   uint64_t budget_;

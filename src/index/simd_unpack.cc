@@ -217,6 +217,10 @@ __attribute__((target("avx2"))) void UnpackAvx2(const uint8_t* p,
                        _mm256_castsi256_si128(b));
     }
   }
+  // The compiler turns the tail below into a jump that skips its own
+  // vzeroupper; left dirty, the upper ymm state slows every later SSE
+  // instruction (double arithmetic included) until the next AVX exit.
+  _mm256_zeroupper();
   UnpackScalarFrom(p, avail, count, bits, out, i * 8);
 }
 

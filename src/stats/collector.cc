@@ -41,10 +41,14 @@ CollectionStats StraightforwardCollectionStats(
     CostCounters before;
     if (tracing) {
       before = *cost;
-      std::vector<uint64_t> sizes;
-      for (TermId m : context) sizes.push_back(predicate_index.df(m));
+      // The joins ContextSet::Build runs: a walk of one list, else the
+      // pairwise join of the two shortest and one semijoin per further one.
+      std::string strategy = context.size() == 1 ? "walk" : "pairwise";
+      if (context.size() > 2) {
+        strategy += "+semijoin*" + std::to_string(context.size() - 2);
+      }
       span.Attr("lists", static_cast<uint64_t>(context.size()));
-      span.Attr("strategy", StrategyMixForSizes(std::move(sizes)));
+      span.Attr("strategy", strategy);
     }
     set = ContextSet::Build(content_index, predicate_index, context, cost,
                             years, range, guard);

@@ -23,7 +23,7 @@ struct KeywordCounts {
 
 /// The document set D_P = L_m1 ∩ ... ∩ L_mc of one context over one index
 /// part, restricted to a year range when one is active, materialized once
-/// per query by a single conjunction. Every statistic of the
+/// per query by one chain of joins (Build). Every statistic of the
 /// straightforward plan (Figure 3) derives from it: |D_P| and len(D_P) are
 /// kept at build time, and each keyword's df/tc is one 2-way join
 /// L_w ⋈ D_P instead of an (m+1)-way join over the predicate lists.
@@ -40,15 +40,20 @@ class ContextSet {
   /// An empty, complete set (an unsatisfiable context).
   ContextSet() = default;
 
-  /// Builds D_P over one part by one conjunction of the context's
-  /// predicate lists: the guard-free block-pairwise kernel for two
-  /// compressed lists, a walk of the list for one predicate, the leapfrog
-  /// otherwise (the last two tick a guard once per candidate). γ_count and γ_sum(len) are taken on the way, and each
-  /// member is charged to cost->aggregation_entries. `context` must be
-  /// sorted; an empty context or a missing predicate list yields an empty
-  /// set. `years[d]` gives document d's year when `range` is active. When
-  /// the guard trips mid-build, the set holds only a prefix of D_P and
-  /// complete() is false: such a set must not be probed.
+  /// Builds D_P over one part with block kernels, guarded or not: a walk
+  /// of the list for one predicate; for m >= 2, the pairwise join of the
+  /// two shortest lists (the block-pairwise kernel when both are
+  /// compressed), then a semijoin of the running result with each further
+  /// list in ascending length (SemiJoinRunWithList over a compressed list,
+  /// a gallop over a plain one). `guard` ticks once per posting of a
+  /// walked list, and by the join tick rule (index/codec.h) in each join,
+  /// so every representation charges the same ticks. γ_count and
+  /// γ_sum(len) are taken on the way, and each member is charged to
+  /// cost->aggregation_entries. `context` must be sorted; an empty context
+  /// or a missing predicate list yields an empty set. `years[d]` gives
+  /// document d's year when `range` is active. When the guard trips
+  /// mid-build, or was tripped before it, the set holds only a prefix of
+  /// D_P and complete() is false: such a set must not be probed.
   static ContextSet Build(const InvertedIndex& content_index,
                           const InvertedIndex& predicate_index,
                           std::span<const TermId> context,
@@ -75,11 +80,10 @@ class ContextSet {
   /// df and (when `with_tc`) tc of the keyword behind `keyword` within the
   /// set, by one 2-way join charged to the keyword cursor's cost counters:
   /// a block walk over a compressed list (JoinRunWithList), a search of
-  /// each docid of the shorter side in the longer over a plain one. `guard` ticks
-  /// once per docid of the shorter side up to the longer side's last
-  /// docid, for either representation; after a trip the counts are
-  /// partial. When `strategy` is non-null it receives which side drove
-  /// (tracing only).
+  /// each docid of the shorter side in the longer over a plain one. Either
+  /// way `guard` ticks by the join tick rule (index/codec.h); after a trip
+  /// the counts are partial. When `strategy` is non-null it receives which
+  /// side drove (tracing only).
   KeywordCounts IntersectWith(PostingCursor keyword, bool with_tc,
                               ScanGuard* guard = nullptr,
                               std::string* strategy = nullptr) const;

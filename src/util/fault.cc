@@ -157,4 +157,6 @@ uint64_t FaultInjector::trips(FaultPoint p) const {
 
 bool FaultHit(FaultPoint p) { return FaultInjector::Instance().Hit(p); }
 
+bool FaultsArmed() { return FaultInjector::Instance().any_armed(); }
+
 }  // namespace csr

@@ -80,6 +80,11 @@ class FaultInjector {
   bool Hit(FaultPoint p);
 
   bool armed(FaultPoint p) const;
+  /// True while any trigger (one-shot, rate, or delay) of any point is
+  /// armed — exactly when some Hit() call could do more than return false.
+  bool any_armed() const {
+    return armed_count_.load(std::memory_order_acquire) != 0;
+  }
   /// The armed probabilistic rate (0 when no rate trigger is armed).
   double rate(FaultPoint p) const;
   uint64_t hits(FaultPoint p) const;
@@ -108,6 +113,10 @@ class FaultInjector {
 
 /// Injection-site helper: one relaxed load when nothing is armed.
 bool FaultHit(FaultPoint p);
+
+/// FaultInjector::Instance().any_armed(): while false, every FaultHit()
+/// returns false and counts nothing, so a caller may skip the calls.
+bool FaultsArmed();
 
 /// RAII arming for tests: disarms (if still pending) on scope exit.
 class ScopedFault {

@@ -16,6 +16,7 @@
 #include "index/inverted_index.h"
 #include "stats/collector.h"
 #include "stats/context_set.h"
+#include "util/fault.h"
 #include "util/random.h"
 
 namespace csr {
@@ -331,6 +332,93 @@ TEST(ContextSetTest, JoinTicksAndCountsMatchAcrossRepresentations) {
   }
   EXPECT_GT(set_drives, 20u);
   EXPECT_GT(keyword_drives, 20u);
+}
+
+// D_P builds tick by one rule whatever represents the predicate lists:
+// a walk ticks once per posting, and m >= 2 lists tick by the join tick
+// rule (index/codec.h) — the block-pairwise kernel and block-walk
+// semijoins over compressed lists, the gallop joins over plain ones. So
+// plain, kAuto and kBitmapPreferred lists must agree on |D_P|, len(D_P)
+// and ticks(), and a budget or a one-shot fault must stop every build on
+// the same tick.
+TEST(ContextSetTest, BuildTicksMatchAcrossRepresentations) {
+  const Corpus corpus = TestCorpus();
+  const CorpusConfig& cc = corpus.config;
+  auto plain = BuildParts(corpus, {}, false);
+  auto packed = BuildParts(corpus, {}, true);
+  auto bitmap = BuildParts(corpus, {}, false);
+  bitmap[0]->predicate.Compact(0, CodecPolicy::kBitmapPreferred);
+  const std::vector<const Part*> reps = {plain[0].get(), packed[0].get(),
+                                         bitmap[0].get()};
+  const char* names[] = {"plain", "auto", "bitmap"};
+  FaultInjector& fi = FaultInjector::Instance();
+  fi.DisarmAll();
+  SplitMix64 rng(2024);
+  size_t checked = 0;
+  for (size_t m = 1; m <= 4; ++m) {
+    for (int round = 0; round < 25; ++round) {
+      // m distinct predicates from one document, so D_P is non-empty.
+      const Document* doc = nullptr;
+      while (doc == nullptr || doc->annotations.size() < m) {
+        doc = &corpus.docs[rng.NextBounded(corpus.docs.size())];
+      }
+      std::vector<TermId> context(doc->annotations.begin(),
+                                  doc->annotations.end());
+      for (size_t i = 0; i < m; ++i) {
+        std::swap(context[i],
+                  context[i + rng.NextBounded(context.size() - i)]);
+      }
+      context.resize(m);
+      std::sort(context.begin(), context.end());
+      const uint16_t lo = static_cast<uint16_t>(
+          cc.year_min + rng.NextBounded(cc.year_max - cc.year_min + 1));
+      const uint16_t hi = static_cast<uint16_t>(
+          lo + rng.NextBounded(cc.year_max - lo + 1));
+      for (YearRange range : {YearRange{}, YearRange{lo, hi}}) {
+        SCOPED_TRACE("m " + std::to_string(m) + " round " +
+                     std::to_string(round) +
+                     (range.active() ? " ranged" : ""));
+        auto build = [&](const Part& p, ScanGuard* guard) {
+          return ContextSet::Build(p.content, p.predicate, context, nullptr,
+                                   p.years, range, guard);
+        };
+        ScanGuard want_guard(0, 0);
+        const ContextSet want = build(*reps[0], &want_guard);
+        ASSERT_TRUE(want.complete());
+        const uint64_t ticks = want_guard.ticks();
+        for (size_t r = 1; r < reps.size(); ++r) {
+          ScanGuard g(0, 0);
+          const ContextSet got = build(*reps[r], &g);
+          EXPECT_TRUE(got.complete()) << names[r];
+          EXPECT_EQ(got.Size(), want.Size()) << names[r];
+          EXPECT_EQ(got.total_length(), want.total_length()) << names[r];
+          EXPECT_EQ(g.ticks(), ticks) << names[r];
+        }
+        if (ticks < 2) continue;
+        ++checked;
+        const uint64_t budget = ticks / 2;
+        const uint64_t nth = 1 + rng.NextBounded(ticks);
+        for (size_t r = 0; r < reps.size(); ++r) {
+          ScanGuard budgeted(0, budget);
+          EXPECT_FALSE(build(*reps[r], &budgeted).complete()) << names[r];
+          EXPECT_EQ(budgeted.trip(), ScanGuard::Trip::kBudget) << names[r];
+          EXPECT_EQ(budgeted.ticks(), budget + 1) << names[r];
+
+          fi.Arm(FaultPoint::kPostingAdvance, nth);
+          const uint64_t trips = fi.trips(FaultPoint::kPostingAdvance);
+          ScanGuard faulted(0, 0);
+          EXPECT_FALSE(build(*reps[r], &faulted).complete()) << names[r];
+          fi.Disarm(FaultPoint::kPostingAdvance);
+          EXPECT_EQ(faulted.trip(), ScanGuard::Trip::kFault) << names[r];
+          EXPECT_EQ(faulted.ticks(), nth) << names[r];
+          EXPECT_EQ(fi.hits(FaultPoint::kPostingAdvance), nth) << names[r];
+          EXPECT_EQ(fi.trips(FaultPoint::kPostingAdvance), trips + 1)
+              << names[r];
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 120u);
 }
 
 }  // namespace

@@ -600,5 +600,77 @@ TEST_F(DegradationTest, StatsTripNeverLeaksAPartialContextSetIntoRetrieval) {
   }
 }
 
+// A one-shot posting fault fired inside a multi-predicate D_P build: the
+// build runs on the block kernels (the pairwise kernel for two compressed
+// lists, plus a block-walk semijoin for a third), and the fault reaches
+// them through their batched guard charges. The stats phase must abandon
+// the context statistics, keep the partial set out of retrieval, and rank
+// the full predicate-list conjunction with global statistics — exactly
+// the conventional answer.
+TEST_F(DegradationTest, FaultInsideBlockKernelContextSetBuildDegrades) {
+  EngineConfig ecfg;
+  ecfg.estimator_sample = 2000;
+  auto engine = ContextSearchEngine::Build(SmallCorpus(), ecfg).value();
+  ASSERT_TRUE(engine->predicate_index().compressed());
+  const Corpus& corpus = engine->corpus();
+  // A document with three predicates and a content token: its contexts
+  // are non-empty and the query matches.
+  const Document* doc = nullptr;
+  for (const Document& d : corpus.docs) {
+    if (d.annotations.size() >= 3 && !d.ContentTokens().empty()) {
+      doc = &d;
+      break;
+    }
+  }
+  ASSERT_NE(doc, nullptr);
+  const TermId keyword = doc->ContentTokens()[0];
+  uint64_t fault_trips = 0;
+  for (size_t m : {2u, 3u}) {
+    SCOPED_TRACE(std::to_string(m) + " predicates");
+    ContextQuery q;
+    q.keywords = {keyword};
+    q.context.assign(doc->annotations.end() - m, doc->annotations.end());
+
+    ScanGuard build_guard(0, 0);
+    ContextSet full = ContextSet::Build(engine->content_index(),
+                                        engine->predicate_index(), q.context,
+                                        nullptr, {}, {}, &build_guard);
+    ASSERT_TRUE(full.complete());
+    ASSERT_GT(full.Size(), 0u);
+    ASSERT_GE(build_guard.ticks(), 2u);
+    auto global = engine->Search(q, EvaluationMode::kConventional);
+    ASSERT_TRUE(global.ok()) << global.status().ToString();
+
+    // Two predicates: a hit midway through the pairwise kernel. Three: the
+    // build's last tick, which the semijoin charges (a non-empty D_P leaves
+    // a run docid inside the third list).
+    ScopedFault f(FaultPoint::kPostingAdvance,
+                  m == 2 ? build_guard.ticks() / 2 : build_guard.ticks());
+    auto ps = engine->BeginSearch(q, EvaluationMode::kContextStraightforward);
+    ASSERT_TRUE(ps.ok()) << ps.status().ToString();
+    ASSERT_TRUE(engine->SearchStats(**ps).ok());
+    for (const auto& set : (*ps)->context_sets) EXPECT_FALSE(set.has_value());
+    ASSERT_TRUE(engine->SearchIntersect(**ps).ok());
+    EXPECT_EQ((*ps)->set_parts, 0u);
+    auto r = engine->FinishSearch(**ps);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->metrics.degraded);
+    EXPECT_NE(r->metrics.degraded_reason.find("context statistics abandoned"),
+              std::string::npos)
+        << r->metrics.degraded_reason;
+    EXPECT_EQ(r->metrics.degraded_reason.find("retrieval stopped early"),
+              std::string::npos)
+        << r->metrics.degraded_reason;
+    EXPECT_EQ(engine->degradation().fault_trips, ++fault_trips);
+    EXPECT_EQ(r->result_count, global->result_count);
+    ASSERT_EQ(r->top_docs.size(), global->top_docs.size());
+    for (size_t i = 0; i < r->top_docs.size(); ++i) {
+      EXPECT_EQ(r->top_docs[i].doc, global->top_docs[i].doc) << "rank " << i;
+      EXPECT_EQ(r->top_docs[i].score, global->top_docs[i].score)
+          << "rank " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace csr

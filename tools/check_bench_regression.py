@@ -66,7 +66,10 @@ ContextSet: on the Figure 8 pool, StraightforwardCollectionStats with
 every keyword must cost at most CONTEXT_SET_CEILING (2.0) times the same
 call with no keywords (its context conjunction alone), both timed query by
 query in one run. The two calls must also agree on |D_P| and len(D_P) for
-every query, which fails immediately.
+every query, which fails immediately. The same run also times each D_P
+build (ContextSet::Build) under an inert ScanGuard and with none; the
+guarded builds may cost at most GUARD_OVERHEAD_CEILING (1.15) times the
+unguarded ones, since both run the same block kernels.
 
 --self-test: runs this script's own pytest-style unit tests (no pytest
 dependency; plain asserts over the pure check functions and the JSON
@@ -386,6 +389,11 @@ INTERSECT_EXACT_FIELDS = ("kernel", "ratio", "rare_size", "freq_size",
 # the Figure 8 pool (--context-set-bench).
 CONTEXT_SET_CEILING = 2.0
 
+# Largest allowed guarded / unguarded D_P build time ratio on the Figure 8
+# pool (--context-set-bench): a ScanGuard(0, 0) may cost its batched tick
+# charges, not a different kernel.
+GUARD_OVERHEAD_CEILING = 1.15
+
 
 def check_intersect_exact(report, baseline):
     """Deterministic intersect-kernel checks — never retried.
@@ -467,14 +475,25 @@ def check_context_set_exact(report):
 def check_context_set(report):
     """Returns a list of failure strings for one fresh Figure 8 probe run."""
     cs = section(report, "context_set")
+    if "guarded_over_unguarded" not in cs:
+        raise GateError(
+            "context_set section has no 'guarded_over_unguarded' field — "
+            "bench_fig8_small_contexts predates the guard-overhead probe?")
+    failures = []
     ratio = cs["straightforward_over_conj"]
     if ratio > CONTEXT_SET_CEILING:
-        return [
+        failures.append(
             f"context_set ({cs.get('workload', '?')}): straightforward "
             f"{cs['straightforward_ms_mean']:.4f} ms / conjunction "
             f"{cs['conj_ms_mean']:.4f} ms = {ratio:.2f} > allowed "
-            f"{CONTEXT_SET_CEILING:.2f}"]
-    return []
+            f"{CONTEXT_SET_CEILING:.2f}")
+    guard_ratio = cs["guarded_over_unguarded"]
+    if guard_ratio > GUARD_OVERHEAD_CEILING:
+        failures.append(
+            f"context_set ({cs.get('workload', '?')}): D_P build under an "
+            f"inert ScanGuard costs {guard_ratio:.2f}x the unguarded build "
+            f"> allowed {GUARD_OVERHEAD_CEILING:.2f}")
+    return failures
 
 
 def retry_gate(label, attempts, run_once, on_ok):
@@ -659,7 +678,8 @@ def run_context_set_gate(args):
         print(f"context-set gate OK (attempt {attempt}/{args.attempts}): "
               f"straightforward {cs['straightforward_ms_mean']:.4f} ms vs "
               f"conjunction {cs['conj_ms_mean']:.4f} ms = "
-              f"{cs['straightforward_over_conj']:.2f}x over "
+              f"{cs['straightforward_over_conj']:.2f}x, guarded D_P build "
+              f"{cs['guarded_over_unguarded']:.2f}x unguarded, over "
               f"{cs['queries']} Figure 8 queries")
 
     return retry_gate("context set", args.attempts, once, ok)
@@ -1061,6 +1081,9 @@ def _context_set_report(**overrides):
         "straightforward_ms_mean": 0.14,
         "straightforward_over_conj": 1.4,
         "cardinality_mismatches": 0,
+        "unguarded_build_ms_mean": 0.05,
+        "guarded_build_ms_mean": 0.052,
+        "guarded_over_unguarded": 1.04,
     }
     cs.update(overrides)
     return {"context_set": cs}
@@ -1076,6 +1099,35 @@ def test_context_set_fails_above_ceiling():
     fails = check_context_set(
         _context_set_report(straightforward_over_conj=4.8))
     assert len(fails) == 1 and "4.80 > allowed 2.00" in fails[0], fails
+
+
+def test_context_set_guard_overhead_passes_at_ceiling():
+    report = _context_set_report(guarded_over_unguarded=GUARD_OVERHEAD_CEILING)
+    assert check_context_set(report) == []
+
+
+def test_context_set_guard_overhead_fails_above_ceiling():
+    fails = check_context_set(
+        _context_set_report(guarded_over_unguarded=1.8))
+    assert len(fails) == 1 and "1.80x the unguarded build" in fails[0], fails
+    assert "allowed 1.15" in fails[0], fails
+
+
+def test_context_set_both_ratios_fail_together():
+    fails = check_context_set(_context_set_report(
+        straightforward_over_conj=4.8, guarded_over_unguarded=1.8))
+    assert len(fails) == 2, fails
+
+
+def test_context_set_missing_guard_field_is_gate_error():
+    report = _context_set_report()
+    del report["context_set"]["guarded_over_unguarded"]
+    try:
+        check_context_set(report)
+    except GateError as e:
+        assert "guarded_over_unguarded" in str(e)
+    else:
+        raise AssertionError("expected GateError")
 
 
 def test_context_set_exact_flags_mismatch_and_empty_pool():
