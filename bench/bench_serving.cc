@@ -32,6 +32,7 @@
 // rate, budget ceiling, QPS ratio, and top-k equality.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
@@ -43,6 +44,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -236,6 +238,27 @@ void RunBatch(QueryExecutor& executor,
     double per_query = wall.ElapsedMillis() / std::max<size_t>(1, n);
     for (const auto& r : results) stats->Absorb(r, per_query, slo_ms);
   }
+}
+
+/// The staged executor's three stages, by name, in pipeline order.
+std::array<std::pair<const char*, const PipelineStageMetrics*>, 3>
+PipelineStages(const PipelineMetrics& m) {
+  return {{{"parse", &m.parse},
+           {"intersect", &m.intersect},
+           {"score", &m.score}}};
+}
+
+double StageBusyPerQuery(const PipelineStageMetrics& st) {
+  return st.processed > 0
+             ? st.busy_ms_total / static_cast<double>(st.processed)
+             : 0.0;
+}
+
+/// Share of the stage's worker time spent executing work since the
+/// executor started (1.0 = every worker busy the whole time).
+double StageOccupancy(const PipelineStageMetrics& st, double uptime_ms) {
+  double capacity = uptime_ms * static_cast<double>(st.workers);
+  return capacity > 0 ? st.busy_ms_total / capacity : 0.0;
 }
 
 void EmitPhase(JsonWriter& json, const PhaseStats& s, double slo_ms) {
@@ -531,6 +554,7 @@ int Main(int argc, char** argv) {
   PhaseStats pipe_base, pipe_staged;
   double pipe_base_qps = 0.0, pipe_staged_qps = 0.0;
   double pipe_base_blocks = 0.0, pipe_staged_blocks = 0.0;
+  double pipe_base_busy_ms = 0.0;  // per query, worker time in Search
   PipelineMetrics pipe_metrics;
   {
     // The hottest (largest) context in the view pool becomes the shared
@@ -631,6 +655,11 @@ int Main(int argc, char** argv) {
                              ? static_cast<double>(blocks) /
                                    static_cast<double>(pipe_base.ok)
                              : 0;
+      ExecutorMetrics em = executor.metrics();
+      pipe_base_busy_ms =
+          em.completed > 0
+              ? em.exec_ms_total / static_cast<double>(em.completed)
+              : 0;
     }
     {
       ExecutorConfig pcfg;
@@ -679,6 +708,17 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(pipe_metrics.max_batch),
                 static_cast<unsigned long long>(pipe_metrics.arena_hits),
                 static_cast<unsigned long long>(pipe_metrics.arena_misses));
+    // Per-stage busy time per query and occupancy: where a miss of the
+    // pipeline gate's QPS floor comes from (a saturated stage, or an
+    // intersect worker left idle by batch formation).
+    std::printf("  busy ms/query: per-query-worker %.3f; staged",
+                pipe_base_busy_ms);
+    for (const auto& [name, st] : PipelineStages(pipe_metrics)) {
+      std::printf(" %s %.3f (x%u, occupancy %.2f)", name,
+                  StageBusyPerQuery(*st), st->workers,
+                  StageOccupancy(*st, pipe_metrics.uptime_ms));
+    }
+    std::printf("\n");
   }
 
   // --- Phase 6: online adaptive view selection ---------------------------
@@ -1058,6 +1098,7 @@ int Main(int argc, char** argv) {
       json.Field("ok", pipe_base.ok);
       json.Field("p99_ms", Percentile(blat, 0.99));
       json.Field("blocks_per_query", pipe_base_blocks);
+      json.Field("busy_ms_per_query", pipe_base_busy_ms);
       json.CloseObject();
       json.OpenObject("pipelined");
       json.Field("qps", pipe_staged_qps);
@@ -1069,6 +1110,15 @@ int Main(int argc, char** argv) {
       json.Field("max_batch", pipe_metrics.max_batch);
       json.Field("arena_hits", pipe_metrics.arena_hits);
       json.Field("arena_misses", pipe_metrics.arena_misses);
+      json.OpenObject("stages");
+      for (const auto& [name, st] : PipelineStages(pipe_metrics)) {
+        json.OpenObject(name);
+        json.Field("workers", static_cast<uint64_t>(st->workers));
+        json.Field("busy_ms_per_query", StageBusyPerQuery(*st));
+        json.Field("occupancy", StageOccupancy(*st, pipe_metrics.uptime_ms));
+        json.CloseObject();
+      }
+      json.CloseObject();
       json.OpenObject("batch_size_hist");
       for (size_t i = 1; i < pipe_metrics.batch_size_counts.size(); ++i) {
         if (pipe_metrics.batch_size_counts[i] > 0) {

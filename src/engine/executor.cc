@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace csr {
@@ -362,33 +363,26 @@ bool QueryExecutor::StageQueue::Pop(PipelineTask& out) {
   return true;
 }
 
-bool QueryExecutor::StageQueue::PopBatch(std::vector<PipelineTask>& out,
-                                         size_t max_batch) {
+bool QueryExecutor::StageQueue::PopSharing(const std::vector<TermId>& terms,
+                                           PipelineTask& out) {
   std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [this] { return closed_ || !q_.empty(); });
-  if (q_.empty()) return false;  // closed and drained
-  out.push_back(std::move(q_.front()));
-  q_.pop_front();
-  // Greedy batch formation: sweep the queue ONCE for tasks sharing a term
-  // with the head. No waiting for stragglers — batching exploits queues
-  // that are already deep (i.e. under load); an idle pipeline degenerates
-  // to batch size 1 with zero added latency.
-  if (max_batch > 1) {
-    // Copied, not referenced: the push_back below can reallocate `out`,
-    // which would leave a reference to the head's terms dangling.
-    const std::vector<TermId> head_terms = out.front().terms;
-    for (auto it = q_.begin(); it != q_.end() && out.size() < max_batch;) {
-      if (SharesTerm(head_terms, it->terms)) {
-        out.push_back(std::move(*it));
-        it = q_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  auto it = std::find_if(q_.begin(), q_.end(), [&](const PipelineTask& t) {
+    return SharesTerm(terms, t.terms);
+  });
+  if (it == q_.end()) return false;
+  out = std::move(*it);
+  q_.erase(it);
   lock.unlock();
   not_full_.notify_all();
   return true;
+}
+
+bool QueryExecutor::StageQueue::HasSharing(
+    const std::vector<TermId>& terms) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::any_of(q_.begin(), q_.end(), [&](const PipelineTask& t) {
+    return SharesTerm(terms, t.terms);
+  });
 }
 
 void QueryExecutor::StageQueue::Close() {
@@ -503,65 +497,78 @@ void QueryExecutor::ParseLoop() {
 }
 
 void QueryExecutor::IntersectLoop() {
+  const size_t max_batch = std::max<size_t>(1, config_.pipeline.max_batch);
   DecodedBlockArena arena(config_.pipeline.arena_bytes);
-  std::vector<PipelineTask> batch;
-  for (;;) {
-    batch.clear();
-    if (!intersect_q_->PopBatch(batch, config_.pipeline.max_batch)) return;
-    double batch_wait_ms = 0;
-    for (PipelineTask& pt : batch) {
+  // LiveSet pins of the batch's members, held until after arena.Clear():
+  // arena keys are raw list pointers, and a member whose snapshot was
+  // released mid-batch (it moved on to scoring, or failed) could let a
+  // concurrent merge free and re-allocate a list at the same address.
+  std::vector<std::shared_ptr<const LiveSet>> pins;
+  PipelineTask pt;
+  while (intersect_q_->Pop(pt)) {
+    // A batch grows one member at a time: after each member, the worker
+    // takes the oldest queued task sharing a term with the head, up to
+    // max_batch. Taking one at a time leaves every other queued task to
+    // whichever intersect worker frees up first, so no worker idles
+    // while term-sharing tasks wait behind another worker's batch. The
+    // arena is installed only once a second member is in view — a batch
+    // of one has nothing to share and decodes privately.
+    const std::vector<TermId> head_terms = pt.terms;
+    std::optional<DecodedBlockArena::Scope> scope;
+    if (max_batch > 1 && intersect_q_->HasSharing(head_terms)) {
+      scope.emplace(&arena);
+    }
+    uint64_t hits0 = arena.hits();
+    uint64_t misses0 = arena.misses();
+    size_t size = 0;
+    double wait_ms = 0;
+    double busy_ms = 0;
+    for (;;) {
+      ++size;
       double w = pt.staged.ElapsedMillis();
-      batch_wait_ms += w;
+      wait_ms += w;
       // Inter-stage wait counts against the query deadline automatically
       // (the ScanGuard wall clock has been running since BeginSearch);
       // NoteStageWait records it for the trip message and the trace.
       engine_->NoteStageWait(*pt.ps, "intersect", w);
-    }
+      if (scope) pins.push_back(pt.ps->live);
+      WallTimer busy;
+      Status st = engine_->SearchIntersect(*pt.ps);
+      busy_ms += busy.ElapsedMillis();
 
-    WallTimer busy;
-    uint64_t hits0 = arena.hits();
-    uint64_t misses0 = arena.misses();
-    {
-      // One arena scope per batch: every block any member decodes is
-      // shared with the rest of the batch, then dropped. Failed members
-      // stay in `batch` (their PreparedSearch pins the LiveSet snapshot)
-      // until after Clear() — arena keys are raw list pointers, and
-      // releasing a snapshot mid-batch could let a concurrent merge free
-      // and re-allocate a list at the same address.
-      DecodedBlockArena::Scope scope(&arena);
-      for (PipelineTask& pt : batch) {
-        Status st = engine_->SearchIntersect(*pt.ps);
-        if (!st.ok()) {
-          pt.failed = true;
-          FinalizeTask(pt, std::move(st));
-        }
+      // Take the next member before handing this one on, so a batch is
+      // tallied before its last member can complete: a caller holding
+      // every result sees every batch counted.
+      PipelineTask next;
+      bool more =
+          size < max_batch && intersect_q_->PopSharing(head_terms, next);
+      if (!more) {
+        scope.reset();
+        arena.Clear();
+        pins.clear();
+        std::lock_guard<std::mutex> lock(mu_);
+        PipelineCounters& c = pipeline_counters_;
+        c.intersect_processed += size;
+        c.intersect_busy_ms += busy_ms;
+        c.intersect_wait_ms += wait_ms;
+        c.batches++;
+        if (size >= 2) c.batched_queries += size;
+        c.max_batch = std::max(c.max_batch, size);
+        if (size < c.batch_size_counts.size()) c.batch_size_counts[size]++;
+        c.arena_hits += arena.hits() - hits0;
+        c.arena_misses += arena.misses() - misses0;
       }
-    }
-    uint64_t hit_delta = arena.hits() - hits0;
-    uint64_t miss_delta = arena.misses() - misses0;
-    arena.Clear();
-
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      PipelineCounters& c = pipeline_counters_;
-      c.intersect_processed += batch.size();
-      c.intersect_busy_ms += busy.ElapsedMillis();
-      c.intersect_wait_ms += batch_wait_ms;
-      c.batches++;
-      if (batch.size() >= 2) c.batched_queries += batch.size();
-      c.max_batch = std::max(c.max_batch, batch.size());
-      if (batch.size() < c.batch_size_counts.size()) {
-        c.batch_size_counts[batch.size()]++;
+      if (!st.ok()) {
+        FinalizeTask(pt, std::move(st));
+      } else {
+        pt.staged.Restart();
+        if (!score_q_->Push(std::move(pt))) return;
       }
-      c.arena_hits += hit_delta;
-      c.arena_misses += miss_delta;
+      if (!more) break;
+      pt = std::move(next);
+      if (!scope) scope.emplace(&arena);
     }
-
-    for (PipelineTask& pt : batch) {
-      if (pt.failed) continue;
-      pt.staged.Restart();
-      if (!score_q_->Push(std::move(pt))) return;
-    }
+    pt = PipelineTask{};  // release the PreparedSearch before blocking
   }
 }
 

@@ -43,12 +43,15 @@ struct PipelineConfig {
   size_t stage_queue_capacity = 64;
 
   /// Most queries one intersect batch may group (>= 1). Queries join a
-  /// batch only when they share at least one term with the batch head.
+  /// batch only when they share at least one term with the batch head,
+  /// one at a time as the worker finishes the previous member, so queued
+  /// tasks stay free for any idle intersect worker.
   size_t max_batch = 8;
 
-  /// Byte bound of each intersect worker's decoded-block arena. Past the
-  /// bound new blocks decode privately (correct, just uncached), so batch
-  /// memory stays bounded however hot the shared terms are.
+  /// Byte bound of each intersect worker's decoded-block arena: its
+  /// slots, reused decode buffers and table together. Past the bound new
+  /// blocks decode privately (correct, just uncached), so batch memory
+  /// stays bounded however hot the shared terms are.
   size_t arena_bytes = DecodedBlockArena::kDefaultMaxBytes;
 };
 
@@ -220,14 +223,13 @@ class QueryExecutor {
     WallTimer enqueued;            // started at Enqueue; read = e2e time
     WallTimer staged;              // restarted at each queue push
     std::vector<TermId> terms;     // sorted unique keywords ∪ context
-    bool failed = false;           // finalized mid-batch with an error
   };
 
   /// Bounded MPMC queue of PipelineTasks. Push blocks while full (that is
   /// the backpressure), Pop blocks while empty; Close wakes everyone and
-  /// makes Pop return false once drained. PopBatch additionally pulls up
-  /// to max_batch-1 queued tasks sharing a term with the head, forming
-  /// the intersect stage's shared-decode batch.
+  /// makes Pop return false once drained. PopSharing takes, without
+  /// waiting, the oldest queued task sharing a term with a batch head —
+  /// how the intersect stage grows its shared-decode batches.
   class StageQueue {
    public:
     explicit StageQueue(size_t capacity)
@@ -235,7 +237,8 @@ class QueryExecutor {
 
     bool Push(PipelineTask task);
     bool Pop(PipelineTask& out);
-    bool PopBatch(std::vector<PipelineTask>& out, size_t max_batch);
+    bool PopSharing(const std::vector<TermId>& terms, PipelineTask& out);
+    bool HasSharing(const std::vector<TermId>& terms) const;
     void Close();
     size_t depth() const;
     size_t max_depth() const;

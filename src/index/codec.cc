@@ -8,6 +8,19 @@
 #include "index/simd_intersect.h"
 #include "index/simd_unpack.h"
 
+// Arena buffers outlive their batch by design; under AddressSanitizer they
+// are poisoned between batches so a stale span read is still reported.
+#if defined(__SANITIZE_ADDRESS__)
+#define CSR_ARENA_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CSR_ARENA_ASAN 1
+#endif
+#endif
+#ifdef CSR_ARENA_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace csr {
 
 void PutVarint32(std::string& out, uint32_t v) {
@@ -519,20 +532,42 @@ Status DecodeTaggedTfs(std::string_view in, size_t tf_offset, size_t count,
 
 namespace {
 
-// Process-wide decode tallies (same relaxed-atomic idiom as the intersect
-// kernel tallies): charged on every successful docid-section decode and on
-// every arena-served block load. Benches snapshot deltas.
+// Process-wide decode tally (same relaxed-atomic idiom as the intersect
+// kernel tallies): charged on every successful docid-section decode.
+// Benches snapshot deltas.
 std::atomic<uint64_t> g_blocks_decoded{0};
-std::atomic<uint64_t> g_arena_hits{0};
 
 thread_local DecodedBlockArena* tl_active_arena = nullptr;
+
+template <typename T>
+void PoisonCapacity(const std::vector<T>& v, bool poison) {
+#ifdef CSR_ARENA_ASAN
+  if (v.capacity() == 0) return;
+  size_t n = v.capacity() * sizeof(T);
+  if (poison) {
+    __asan_poison_memory_region(v.data(), n);
+  } else {
+    __asan_unpoison_memory_region(v.data(), n);
+  }
+#else
+  (void)v;
+  (void)poison;
+#endif
+}
+
+size_t BucketIndex(const CompressedPostingList* list, uint32_t block,
+                   size_t mask) {
+  uint64_t h = (reinterpret_cast<uintptr_t>(list) >> 4) ^
+               (static_cast<uint64_t>(block) << 32);
+  h *= 0x9E3779B97F4A7C15ULL;
+  return static_cast<size_t>(h >> 32) & mask;
+}
 
 }  // namespace
 
 DecodeTallies SnapshotDecodeTallies() {
   DecodeTallies t;
   t.blocks_decoded = g_blocks_decoded.load(std::memory_order_relaxed);
-  t.arena_hits = g_arena_hits.load(std::memory_order_relaxed);
   return t;
 }
 
@@ -545,53 +580,124 @@ DecodedBlockArena::Scope::~Scope() { tl_active_arena = prev_; }
 
 DecodedBlockArena* DecodedBlockArena::Active() { return tl_active_arena; }
 
+DecodedBlockArena::~DecodedBlockArena() {
+  // Hand the allocator back unpoisoned memory.
+  for (Entry& e : slots_) {
+    PoisonCapacity(e.docs, false);
+    PoisonCapacity(e.tfs, false);
+  }
+}
+
+DecodedBlockArena::Bucket& DecodedBlockArena::Probe(
+    const CompressedPostingList* list, uint32_t block) {
+  size_t mask = table_.size() - 1;
+  for (size_t i = BucketIndex(list, block, mask);; i = (i + 1) & mask) {
+    Bucket& b = table_[i];
+    if (b.gen != gen_ || (b.list == list && b.block == block)) return b;
+  }
+}
+
+bool DecodedBlockArena::ReserveBucket() {
+  if ((used_ + 1) * 2 <= table_.size()) return true;
+  size_t cap = std::max<size_t>(64, table_.size() * 2);
+  size_t grown = bytes_ + (cap - table_.size()) * sizeof(Bucket);
+  if (grown > max_bytes_) return false;
+  std::vector<Bucket> old(cap);
+  old.swap(table_);
+  bytes_ = grown;
+  for (const Bucket& b : old) {
+    if (b.gen == gen_) Probe(b.list, b.block) = b;
+  }
+  return true;
+}
+
+template <typename T>
+bool DecodedBlockArena::Fit(std::vector<T>& v, size_t n) {
+  PoisonCapacity(v, false);
+  if (n <= v.capacity()) return true;
+  size_t grown = bytes_ + (n - v.capacity()) * sizeof(T);
+  if (grown > max_bytes_) return false;
+  size_t before = v.capacity();
+  v.reserve(n);
+  bytes_ += (v.capacity() - before) * sizeof(T);
+  return true;
+}
+
 const DecodedBlockArena::Entry* DecodedBlockArena::GetDocs(
     const CompressedPostingList* list, size_t block) {
-  auto it = map_.find(Key{list, block});
-  if (it != map_.end()) {
-    ++hits_;
-    g_arena_hits.fetch_add(1, std::memory_order_relaxed);
-    return &it->second;
+  const auto key_block = static_cast<uint32_t>(block);
+  if (!table_.empty()) {
+    Bucket& b = Probe(list, key_block);
+    if (b.gen == gen_) {
+      ++hits_;
+      return &slots_[b.slot];
+    }
   }
-  // At the byte bound new blocks decode privately and are not cached — the
-  // arena degrades to a no-op rather than growing without bound.
-  if (bytes_ >= max_bytes_) return nullptr;
+  // A miss takes the next slot, reusing its buffers. Anything that would
+  // grow the arena past its bound — a new slot, a larger buffer, a larger
+  // table — makes the load decode privately instead, uncached.
+  if (!ReserveBucket()) return nullptr;
+  if (used_ == slots_.size()) {
+    if (bytes_ + sizeof(Entry) > max_bytes_) return nullptr;
+    slots_.emplace_back();
+    bytes_ += sizeof(Entry);
+  }
+  Entry& e = slots_[used_];
   const CompressedPostingList::BlockMeta& meta = list->blocks()[block];
-  Entry e;
+  if (!Fit(e.docs, meta.count)) {
+    PoisonCapacity(e.docs, true);
+    return nullptr;
+  }
   Status s = DecodeTaggedDocs(list->BlockBytes(block), meta.base, meta.count,
                               e.docs, &e.tf_offset);
-  if (!s.ok() || e.docs.empty()) return nullptr;  // caller poisons privately
+  if (!s.ok() || e.docs.empty()) {
+    PoisonCapacity(e.docs, true);
+    return nullptr;  // caller poisons privately
+  }
+  e.tfs_loaded = false;
   ++misses_;
   g_blocks_decoded.fetch_add(1, std::memory_order_relaxed);
-  bytes_ += e.docs.size() * sizeof(DocId);
-  auto [ins, inserted] = map_.emplace(Key{list, block}, std::move(e));
-  (void)inserted;
-  return &ins->second;
+  Bucket& b = Probe(list, key_block);
+  b = Bucket{list, key_block, static_cast<uint32_t>(used_), gen_};
+  ++used_;
+  return &e;
 }
 
 const DecodedBlockArena::Entry* DecodedBlockArena::GetTfs(
     const CompressedPostingList* list, size_t block) {
-  auto it = map_.find(Key{list, block});
-  if (it == map_.end()) return nullptr;
-  Entry& e = it->second;
+  if (table_.empty()) return nullptr;
+  Bucket& b = Probe(list, static_cast<uint32_t>(block));
+  if (b.gen != gen_) return nullptr;
+  Entry& e = slots_[b.slot];
   if (!e.tfs_loaded) {
-    if (bytes_ >= max_bytes_) return nullptr;
-    const CompressedPostingList::BlockMeta& meta = list->blocks()[block];
-    Status s = DecodeTaggedTfs(list->BlockBytes(block), e.tf_offset,
-                               meta.count, e.tfs);
+    const uint32_t count = list->blocks()[block].count;
+    if (!Fit(e.tfs, count)) {
+      PoisonCapacity(e.tfs, true);
+      return nullptr;
+    }
+    Status s = DecodeTaggedTfs(list->BlockBytes(block), e.tf_offset, count,
+                               e.tfs);
     if (!s.ok()) {
-      e.tfs.clear();
+      PoisonCapacity(e.tfs, true);
       return nullptr;
     }
     e.tfs_loaded = true;
-    bytes_ += e.tfs.size() * sizeof(uint32_t);
   }
   return &e;
 }
 
 void DecodedBlockArena::Clear() {
-  map_.clear();
-  bytes_ = 0;
+  for (size_t i = 0; i < used_; ++i) {
+    PoisonCapacity(slots_[i].docs, true);
+    PoisonCapacity(slots_[i].tfs, true);
+  }
+  used_ = 0;
+  // Bumping the generation empties the table without touching it; only a
+  // wrap back to an old stamp needs the cells reset.
+  if (++gen_ == 0) {
+    std::fill(table_.begin(), table_.end(), Bucket{});
+    gen_ = 1;
+  }
 }
 
 CompressedPostingList CompressedPostingList::FromPostings(

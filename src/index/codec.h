@@ -4,10 +4,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "index/cost_model.h"
@@ -174,17 +174,31 @@ class CompressedPostingList;
 /// ladders, perf gates, trace attribution) is bit-identical with and
 /// without an arena.
 ///
+/// Cost model: a miss must cost no more than the private decode it
+/// replaces, or sharing cannot pay. Entries are slots whose decode
+/// buffers are reused from batch to batch, and the (list, block) index is
+/// a flat open-addressing table stamped with a batch generation, so
+/// Clear() is O(1) and, once warm, neither a miss nor Clear() allocates
+/// or frees. A miss is one table probe plus a decode into a reused
+/// buffer; a hit is one probe.
+///
 /// Deliberately per-batch, NOT a global cache: the arena is owned and
 /// cleared by one intersect worker per batch, so it needs no
-/// synchronization, its memory is bounded by `max_bytes` (past the bound
-/// new blocks decode privately and are not cached), and entries can
-/// never outlive the LiveSet snapshot their list pointers came from.
+/// synchronization, and entries can never outlive the LiveSet snapshot
+/// their list pointers came from. Everything it holds (slots, buffers,
+/// table) stays within `max_bytes`; a load that would grow it past the
+/// bound decodes privately and is not cached. Under AddressSanitizer,
+/// Clear() poisons every buffer, so a span read after its batch ended is
+/// reported as a use-after-poison.
 class DecodedBlockArena {
  public:
   static constexpr size_t kDefaultMaxBytes = 1 << 20;
 
   explicit DecodedBlockArena(size_t max_bytes = kDefaultMaxBytes)
       : max_bytes_(max_bytes == 0 ? kDefaultMaxBytes : max_bytes) {}
+  ~DecodedBlockArena();
+  DecodedBlockArena(const DecodedBlockArena&) = delete;
+  DecodedBlockArena& operator=(const DecodedBlockArena&) = delete;
 
   struct Entry {
     std::vector<DocId> docs;      // decoded docid section
@@ -194,21 +208,25 @@ class DecodedBlockArena {
   };
 
   /// The decoded docids of `block`, decoding on first touch. Returns
-  /// nullptr when the block cannot be cached (decode failure, or the
-  /// arena is at its byte bound) — the caller then decodes privately,
-  /// exactly as without an arena. The returned entry stays valid until
-  /// Clear() or destruction.
+  /// nullptr when the block cannot be cached (decode failure, or caching
+  /// it would grow the arena past its byte bound) — the caller then
+  /// decodes privately, exactly as without an arena. The returned entry
+  /// stays valid until Clear() or destruction.
   const Entry* GetDocs(const CompressedPostingList* list, size_t block);
 
   /// The decoded tfs of `block` (requires a prior successful GetDocs for
   /// the same block). nullptr on decode failure or budget overflow.
   const Entry* GetTfs(const CompressedPostingList* list, size_t block);
 
-  /// Drops every entry; called between batches.
+  /// Ends the batch: no entry is served again, and every buffer is kept
+  /// for the next batch.
   void Clear();
 
+  /// Bytes the arena holds (slots, decode buffers, table); <= max_bytes.
   size_t bytes() const { return bytes_; }
-  size_t entries() const { return map_.size(); }
+  size_t max_bytes() const { return max_bytes_; }
+  /// Entries of the current batch.
+  size_t entries() const { return used_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
 
@@ -230,36 +248,44 @@ class DecodedBlockArena {
   static DecodedBlockArena* Active();
 
  private:
-  struct Key {
-    const CompressedPostingList* list;
-    size_t block;
-    bool operator==(const Key& o) const {
-      return list == o.list && block == o.block;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      uint64_t h = reinterpret_cast<uintptr_t>(k.list) * 0x9E3779B97F4A7C15ULL;
-      h ^= (k.block + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
-      return static_cast<size_t>(h);
-    }
+  /// One table cell: live only while `gen` equals the arena's current
+  /// generation, so bumping the generation empties the table.
+  struct Bucket {
+    const CompressedPostingList* list = nullptr;
+    uint32_t block = 0;
+    uint32_t slot = 0;
+    uint32_t gen = 0;
   };
 
-  std::unordered_map<Key, Entry, KeyHash> map_;
+  /// The current-batch bucket for the key, or the empty bucket where it
+  /// belongs.
+  Bucket& Probe(const CompressedPostingList* list, uint32_t block);
+  /// Doubles the table (rehashing live buckets) when one more entry would
+  /// push its load past 1/2; false when that would break the byte bound.
+  bool ReserveBucket();
+  /// Grows `v` to hold `n` elements within the byte bound; false if not.
+  template <typename T>
+  bool Fit(std::vector<T>& v, size_t n);
+
+  // std::deque: slots never move, so entries handed out stay put while
+  // later misses append slots.
+  std::deque<Entry> slots_;
+  std::vector<Bucket> table_;
+  size_t used_ = 0;  // slots holding current-batch entries
+  uint32_t gen_ = 1;
   size_t max_bytes_;
   size_t bytes_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };
 
-/// Process-wide posting-block decode tallies (relaxed atomics, mirroring
-/// the intersect-kernel tallies in simd_intersect.h): how many block docid
-/// sections were actually decoded by iterators vs served from a batch
-/// arena. The serving bench snapshots deltas to report
-/// blocks-decoded-per-query with and without cross-query batching.
+/// Process-wide posting-block decode tally (relaxed atomic, mirroring the
+/// intersect-kernel tallies in simd_intersect.h): how many block docid
+/// sections iterators actually decoded, privately or into a batch arena.
+/// The serving bench snapshots deltas to report blocks-decoded-per-query
+/// with and without cross-query batching.
 struct DecodeTallies {
-  uint64_t blocks_decoded = 0;  // docid sections decoded (arena or private)
-  uint64_t arena_hits = 0;      // block loads served from an active arena
+  uint64_t blocks_decoded = 0;
 };
 DecodeTallies SnapshotDecodeTallies();
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <tuple>
 
 #include "index/codec.h"
@@ -389,6 +391,206 @@ TEST(CompressedListTest, LazyTfChargesBytesOnlyWhenRead) {
   EXPECT_LT(docs_only.bytes_touched, with_tfs.bytes_touched);
   EXPECT_EQ(with_tfs.bytes_touched, compressed.raw_bytes().size());
 }
+
+// ------------------------------------------------- DecodedBlockArena
+
+/// 1000 postings in blocks of 128: seven full blocks and a short last one
+/// of 104. Gaps of at most 3 keep every block dense enough to bitmap.
+CompressedPostingList ArenaList(CodecPolicy policy, uint64_t seed = 71) {
+  SplitMix64 rng(seed);
+  return CompressedPostingList::FromPostings(
+      MakeRandomPostings(rng, 1000, 1, 3, 9), 128, policy);
+}
+
+/// Everything one full iterator pass yields and is charged.
+struct ListWalk {
+  std::vector<Posting> postings;
+  CostCounters cost;
+};
+
+/// Walks the list reading every docid and tf; stride > 1 mixes in SkipTo
+/// jumps over whole blocks.
+ListWalk WalkList(const CompressedPostingList& list, DocId stride = 1) {
+  ListWalk w;
+  auto it = list.MakeIterator(&w.cost);
+  while (!it.AtEnd()) {
+    w.postings.push_back(Posting{it.doc(), it.tf()});
+    if (stride == 1) {
+      it.Next();
+    } else {
+      it.SkipTo(it.doc() + stride);
+    }
+  }
+  return w;
+}
+
+void ExpectSameWalk(const ListWalk& got, const ListWalk& want) {
+  EXPECT_EQ(got.postings, want.postings);
+  EXPECT_EQ(got.cost.entries_scanned, want.cost.entries_scanned);
+  EXPECT_EQ(got.cost.segments_touched, want.cost.segments_touched);
+  EXPECT_EQ(got.cost.bytes_touched, want.cost.bytes_touched);
+  EXPECT_EQ(got.cost.skips_taken, want.cost.skips_taken);
+  EXPECT_EQ(got.cost.blocks_skipped, want.cost.blocks_skipped);
+}
+
+const CodecPolicy kArenaPolicies[] = {CodecPolicy::kVarintOnly,
+                                      CodecPolicy::kForOnly,
+                                      CodecPolicy::kBitmapPreferred};
+
+TEST(DecodedBlockArenaTest, ServesWhatAPrivateDecodeYields) {
+  for (CodecPolicy policy : kArenaPolicies) {
+    CompressedPostingList list = ArenaList(policy);
+    ASSERT_EQ(list.num_blocks(), 8u);
+    ASSERT_EQ(list.blocks().back().count, 1000u - 7 * 128);
+    BlockCodec want_tag = policy == CodecPolicy::kVarintOnly
+                              ? BlockCodec::kVarint
+                          : policy == CodecPolicy::kForOnly
+                              ? BlockCodec::kFor
+                              : BlockCodec::kBitmap;
+    std::vector<Posting> all = list.Decode();
+    DecodedBlockArena arena;
+    size_t first = 0;
+    for (size_t b = 0; b < list.num_blocks(); ++b) {
+      ASSERT_EQ(list.BlockCodecTag(b), want_tag) << b;
+      const DecodedBlockArena::Entry* e = arena.GetDocs(&list, b);
+      ASSERT_NE(e, nullptr) << b;
+      ASSERT_EQ(e->docs.size(), list.blocks()[b].count) << b;
+      ASSERT_EQ(arena.GetTfs(&list, b), e) << b;
+      for (size_t i = 0; i < e->docs.size(); ++i) {
+        EXPECT_EQ(e->docs[i], all[first + i].doc) << b << "@" << i;
+        EXPECT_EQ(e->tfs[i], all[first + i].tf) << b << "@" << i;
+      }
+      first += e->docs.size();
+    }
+    EXPECT_EQ(first, all.size());
+    EXPECT_LE(arena.bytes(), arena.max_bytes());
+
+    // Through iterators: a pass that fills the arena and a pass served
+    // from it both match a private pass, postings and cost alike.
+    ListWalk priv = WalkList(list);
+    ListWalk priv_skip = WalkList(list, 600);
+    arena.Clear();
+    DecodedBlockArena::Scope scope(&arena);
+    ExpectSameWalk(WalkList(list), priv);
+    ExpectSameWalk(WalkList(list), priv);
+    ExpectSameWalk(WalkList(list, 600), priv_skip);
+  }
+}
+
+TEST(DecodedBlockArenaTest, PastByteBoundDecodesPrivately) {
+  for (CodecPolicy policy : kArenaPolicies) {
+    CompressedPostingList list = ArenaList(policy);
+    ListWalk priv = WalkList(list);
+    // 1 byte holds nothing, not even the table; 4 KiB holds the table
+    // and a few blocks, then runs out part way through the list.
+    for (size_t max_bytes : {size_t{1}, size_t{4096}}) {
+      DecodedBlockArena arena(max_bytes);
+      {
+        DecodedBlockArena::Scope scope(&arena);
+        ExpectSameWalk(WalkList(list), priv);
+        ExpectSameWalk(WalkList(list), priv);
+      }
+      EXPECT_LE(arena.bytes(), max_bytes);
+      EXPECT_LT(arena.entries(), list.num_blocks());
+      EXPECT_EQ(arena.GetDocs(&list, list.num_blocks() - 1), nullptr);
+      if (max_bytes == 1) {
+        EXPECT_EQ(arena.entries(), 0u);
+        EXPECT_EQ(arena.misses(), 0u);
+        EXPECT_EQ(arena.hits(), 0u);
+      } else {
+        EXPECT_GT(arena.entries(), 0u);
+        EXPECT_GT(arena.hits(), 0u);
+      }
+    }
+  }
+}
+
+TEST(DecodedBlockArenaTest, ClearServesNoEntryOfThePreviousBatch) {
+  // The hazard the per-batch rule exists for: after the batch, a list is
+  // freed and another is built at the same address. The same
+  // (list, block) key must decode the new list, not serve the old one.
+  std::optional<CompressedPostingList> slot;
+  slot.emplace(ArenaList(CodecPolicy::kForOnly, 71));
+  const CompressedPostingList* key = &*slot;
+  DecodedBlockArena arena;
+  const DecodedBlockArena::Entry* e = arena.GetDocs(key, 0);
+  ASSERT_NE(e, nullptr);
+  DocId old_first = e->docs.front();
+  arena.Clear();
+  EXPECT_EQ(arena.entries(), 0u);
+
+  SplitMix64 rng(72);
+  slot.emplace(CompressedPostingList::FromPostings(
+      MakeRandomPostings(rng, 1000, 5000, 3, 9), 128,
+      CodecPolicy::kVarintOnly));
+  ASSERT_EQ(&*slot, key);
+  std::vector<Posting> want = slot->Decode();
+  ASSERT_NE(want.front().doc, old_first);
+  e = arena.GetDocs(key, 0);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(arena.hits(), 0u);
+  EXPECT_EQ(arena.misses(), 2u);
+  ASSERT_EQ(e->docs.size(), slot->blocks()[0].count);
+  ASSERT_NE(arena.GetTfs(key, 0), nullptr);
+  for (size_t i = 0; i < e->docs.size(); ++i) {
+    EXPECT_EQ(e->docs[i], want[i].doc) << i;
+    EXPECT_EQ(e->tfs[i], want[i].tf) << i;
+  }
+  // Clear between many batches keeps the buffers and the bound.
+  for (int batch = 0; batch < 300; ++batch) {
+    arena.Clear();
+    for (size_t b = 0; b < slot->num_blocks(); ++b) {
+      ASSERT_NE(arena.GetDocs(key, b), nullptr);
+    }
+  }
+  EXPECT_LE(arena.bytes(), arena.max_bytes());
+}
+
+TEST(DecodedBlockArenaTest, CountsHitsAndMissesExactly) {
+  CompressedPostingList a = ArenaList(CodecPolicy::kAuto, 81);
+  CompressedPostingList b = ArenaList(CodecPolicy::kAuto, 82);
+  DecodedBlockArena arena;
+  DecodedBlockArena::Scope scope(&arena);
+  WalkList(a);  // every block of a: a miss
+  EXPECT_EQ(arena.misses(), a.num_blocks());
+  EXPECT_EQ(arena.hits(), 0u);
+  WalkList(a);  // again: every block a hit; tf loads count as neither
+  WalkList(b);  // another list: misses of its own
+  EXPECT_EQ(arena.hits(), a.num_blocks());
+  EXPECT_EQ(arena.misses(), a.num_blocks() + b.num_blocks());
+  EXPECT_EQ(arena.entries(), a.num_blocks() + b.num_blocks());
+  arena.Clear();
+  WalkList(b);  // a new batch: misses again
+  EXPECT_EQ(arena.hits(), a.num_blocks());
+  EXPECT_EQ(arena.misses(), a.num_blocks() + 2 * b.num_blocks());
+  EXPECT_EQ(arena.entries(), b.num_blocks());
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CSR_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CSR_TEST_ASAN 1
+#endif
+#endif
+
+#ifdef CSR_TEST_ASAN
+// Arena buffers are reused, not freed, so only the arena's own poisoning
+// can make a span read after Clear() visible; this checks that it does.
+// Built only under AddressSanitizer, which is what reports the read.
+TEST(DecodedBlockArenaDeathTest, ReadAfterClearIsReported) {
+  CompressedPostingList list = ArenaList(CodecPolicy::kForOnly);
+  EXPECT_DEATH(
+      {
+        DecodedBlockArena arena;
+        std::span<const DocId> docs(arena.GetDocs(&list, 0)->docs);
+        arena.Clear();
+        volatile DocId d = docs[0];
+        (void)d;
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace csr
