@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/leapfrog.h"
 #include "engine/wand.h"
 #include "index/codec.h"
 #include "index/intersection.h"
@@ -83,7 +84,7 @@ void BM_CodecIntersection(benchmark::State& state) {
   if (codec == kPlain) {
     std::vector<const PostingList*> lists = {&a, &b};
     for (auto _ : state) {
-      benchmark::DoNotOptimize(csr::CountIntersection(lists));
+      benchmark::DoNotOptimize(csr::bench::LeapfrogCount(lists));
     }
     state.counters["bytes"] =
         static_cast<double>(a.MemoryBytes() + b.MemoryBytes());
@@ -240,10 +241,12 @@ void WriteJsonReport(const std::string& path) {
   std::vector<const PostingList*> plain_dm = {&dense, &mid};
   std::vector<const PostingList*> plain_dd = {&dense, &dense2};
   std::vector<const PostingList*> plain_ds = {&dense, &sparse};
-  double dm_unc_qps = MeasureQps([&] { csr::CountIntersection(plain_dm); });
+  // The uncompressed baseline is the leapfrog join (bench/leapfrog.h).
+  using csr::bench::LeapfrogCount;
+  double dm_unc_qps = MeasureQps([&] { LeapfrogCount(plain_dm); });
   double dm_auto_qps =
       MeasureQps([&] { IntersectCompressed(v_auto[0], v_auto[1]); });
-  double dd_unc_qps = MeasureQps([&] { csr::CountIntersection(plain_dd); });
+  double dd_unc_qps = MeasureQps([&] { LeapfrogCount(plain_dd); });
   double dd_auto_qps =
       MeasureQps([&] { IntersectCompressed(v_auto[0], v_auto[3]); });
   j.OpenObject("intersection");
@@ -271,7 +274,7 @@ void WriteJsonReport(const std::string& path) {
   j.Field("dense_dense_bytes_touched",
           CheckedBytesTouched(v_auto[0], v_auto[3]));
   j.Field("skewed_uncompressed_qps",
-          MeasureQps([&] { csr::CountIntersection(plain_ds); }));
+          MeasureQps([&] { LeapfrogCount(plain_ds); }));
   j.Field("skewed_auto_qps",
           MeasureQps([&] { IntersectCompressed(v_auto[0], v_auto[2]); }));
   CostCounters skew_cost;

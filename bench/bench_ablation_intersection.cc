@@ -7,7 +7,10 @@
 // help and the join degrades to a full merge. Galloping SkipTo beats a
 // linear merge by orders of magnitude on skewed pairs and loses nothing
 // on balanced ones; the same leapfrog join over compressed cursors stays
-// competitive because block skips avoid decoding untouched blocks.
+// competitive because block skips avoid decoding untouched blocks. The
+// leapfrog is this bench's own (bench/leapfrog.h): the engine runs every
+// conjunction on the block-kernel chain, which BM_KWayConjunction and
+// BM_MixedConjunction measure.
 //
 // `--json <path>` writes a machine-readable summary of these shapes.
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/leapfrog.h"
 #include "index/codec.h"
 #include "index/intersection.h"
 #include "index/posting_cursor.h"
@@ -57,7 +61,7 @@ void BM_SkipIntersection(benchmark::State& state) {
   CostCounters cost;
   for (auto _ : state) {
     cost.Reset();
-    result = csr::CountIntersection(lists, &cost);
+    result = csr::bench::LeapfrogCount(lists, &cost);
     benchmark::DoNotOptimize(result);
   }
   state.counters["result"] = static_cast<double>(result);
@@ -86,7 +90,7 @@ void BM_DenseMerge(benchmark::State& state) {
   b.FinishBuild();
   std::vector<const PostingList*> lists = {&a, &b};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csr::CountIntersection(lists));
+    benchmark::DoNotOptimize(csr::bench::LeapfrogCount(lists));
   }
 }
 BENCHMARK(BM_DenseMerge)->Arg(16)->Arg(128)->Arg(1024)
@@ -99,9 +103,17 @@ void BM_IntersectAndAggregate(benchmark::State& state) {
   PostingList a = MakeUniformList(kUniverse, 3, 128);
   PostingList b = MakeUniformList(kUniverse, 5, 128);
   std::vector<uint32_t> lengths(kUniverse, 100);
-  std::vector<const PostingList*> lists = {&a, &b};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(csr::IntersectAndAggregate(lists, lengths));
+    uint64_t count = 0;
+    uint64_t sum_len = 0;
+    csr::bench::Leapfrog(
+        {PostingCursor(&a, nullptr), PostingCursor(&b, nullptr)},
+        [&](DocId d, const auto&) {
+          ++count;
+          sum_len += lengths[d];
+        });
+    benchmark::DoNotOptimize(count);
+    benchmark::DoNotOptimize(sum_len);
   }
 }
 BENCHMARK(BM_IntersectAndAggregate)->Unit(benchmark::kMicrosecond);
@@ -145,7 +157,7 @@ uint64_t GallopCount(PostingCursor a, PostingCursor b) {
   std::vector<PostingCursor> cursors;
   cursors.push_back(std::move(a));
   cursors.push_back(std::move(b));
-  return csr::CountIntersection(std::move(cursors));
+  return csr::bench::LeapfrogCount(std::move(cursors));
 }
 
 /// Galloping SkipTo vs linear merge, uncompressed and compressed cursors.
@@ -178,7 +190,7 @@ BENCHMARK(BM_GallopVsLinear)
     ->ArgsProduct({{0, 1}, {0, 1}, {1, 256, 4096}})
     ->Unit(benchmark::kMicrosecond);
 
-/// k-way leapfrog over mixed representations: uncompressed driver with
+/// k-way conjunction over mixed representations: uncompressed driver with
 /// compressed followers, as the engine serves after partial compaction.
 void BM_MixedConjunction(benchmark::State& state) {
   const uint32_t kUniverse = 1 << 20;

@@ -65,7 +65,10 @@ int main() {
   double qps_1 = 0;
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     if (threads > max_threads) break;
-    QueryExecutor executor(engine.get(), {threads, 1024});
+    ExecutorConfig ecfg;
+    ecfg.num_threads = threads;
+    ecfg.queue_capacity = 1024;
+    QueryExecutor executor(engine.get(), ecfg);
     // Warm pass (cache fill) outside the timed region.
     executor.SearchBatch(queries, EvaluationMode::kContextWithViews);
 

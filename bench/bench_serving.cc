@@ -221,20 +221,27 @@ PhaseStats RunOpenLoop(QueryExecutor& executor,
   return total;
 }
 
+/// A pool of `threads` query workers behind a 1024-deep queue.
+ExecutorConfig PoolConfig(uint32_t threads, AdmissionConfig admission = {}) {
+  ExecutorConfig cfg;
+  cfg.num_threads = threads;
+  cfg.queue_capacity = 1024;
+  cfg.admission = std::move(admission);
+  return cfg;
+}
+
 /// Closed-loop batch through the executor, classifying every result.
 /// Submits in small chunks: handing the executor the whole pool at once
 /// would give the tail a queue wait past the engine deadline, and the
 /// deadline shed would be an artifact of the harness, not of load.
-void RunBatch(QueryExecutor& executor,
-              const std::vector<ContextQuery>& queries, double slo_ms,
-              PhaseStats* stats,
+void RunBatch(QueryExecutor& executor, std::span<const ContextQuery> queries,
+              double slo_ms, PhaseStats* stats,
               EvaluationMode mode = EvaluationMode::kContextWithViews) {
   const size_t kChunk = 16;
   for (size_t base = 0; base < queries.size(); base += kChunk) {
     size_t n = std::min(kChunk, queries.size() - base);
     WallTimer wall;
-    auto results = executor.SearchBatch(
-        std::span<const ContextQuery>(queries.data() + base, n), mode);
+    auto results = executor.SearchBatch(queries.subspan(base, n), mode);
     double per_query = wall.ElapsedMillis() / std::max<size_t>(1, n);
     for (const auto& r : results) stats->Absorb(r, per_query, slo_ms);
   }
@@ -364,7 +371,7 @@ int Main(int argc, char** argv) {
   double capacity_qps = 0.0;
   double mean_exec_ms = 0.0;
   {
-    QueryExecutor executor(engine.get(), {threads, 1024, {}});
+    QueryExecutor executor(engine.get(), PoolConfig(threads));
     PhaseStats warm;
     RunBatch(executor, mix_pool, slo_ms, &warm);
     WallTimer timer;
@@ -418,7 +425,7 @@ int Main(int argc, char** argv) {
   // --- Phase 2: open-loop at 0.7x capacity (healthy baseline) ------------
   PhaseStats capacity_run;
   {
-    QueryExecutor executor(engine.get(), {threads, 1024, admission});
+    QueryExecutor executor(engine.get(), PoolConfig(threads, admission));
     auto schedule = MakeSchedule(0.7 * capacity_qps, duration_s,
                                  /*bursty=*/false, arrival_cdf,
                                  mix_pool.size(), /*seed=*/1001);
@@ -437,7 +444,7 @@ int Main(int argc, char** argv) {
   PhaseStats overload;
   AdmissionSnapshot overload_admission;
   {
-    QueryExecutor executor(engine.get(), {threads, 1024, admission});
+    QueryExecutor executor(engine.get(), PoolConfig(threads, admission));
     auto schedule = MakeSchedule(4.0 * capacity_qps, duration_s,
                                  /*bursty=*/true, arrival_cdf,
                                  mix_pool.size(), /*seed=*/2002);
@@ -492,7 +499,7 @@ int Main(int argc, char** argv) {
   uint64_t storm_withdrawals = 0;
   uint64_t storm_denials = 0;
   {
-    QueryExecutor executor(engine.get(), {threads, 1024, {}});
+    QueryExecutor executor(engine.get(), PoolConfig(threads));
     {
       ScopedFaultRate flaky(FaultPoint::kViewRead, 0.10, kStormSeed);
       for (int i = 0; i < 4; ++i) {
@@ -582,9 +589,9 @@ int Main(int argc, char** argv) {
     const EvaluationMode mode = EvaluationMode::kConventional;
     const size_t kDistinct = std::min<size_t>(4, mix_pool.size());
     std::vector<ContextQuery> distinct;
-    for (const ContextQuery& base : mix_pool) {
+    for (size_t i = 0; i < mix_pool.size(); ++i) {
       if (distinct.size() >= kDistinct) break;
-      ContextQuery q = base;
+      ContextQuery q = mix_pool[i];
       q.context = hot_ctx;
       q.years = {};
       uint64_t probe_b0 = SnapshotDecodeTallies().blocks_decoded;
@@ -597,6 +604,12 @@ int Main(int argc, char** argv) {
       // skips nearly everything decodes tens of blocks and leaves
       // nothing worth sharing.
       if (probe_blocks < 128) continue;
+      std::fprintf(stderr,
+                   "# pipeline pool: mix query %zu (%zu keywords): %llu "
+                   "results, %llu blocks decoded\n",
+                   i, q.keywords.size(),
+                   static_cast<unsigned long long>(probe->result_count),
+                   static_cast<unsigned long long>(probe_blocks));
       distinct.push_back(std::move(q));
     }
     // At corpus scales where nothing selective exists, fall back to the
@@ -640,54 +653,65 @@ int Main(int argc, char** argv) {
       }
     }
     {
-      QueryExecutor executor(engine.get(), {threads, 1024, {}});
-      PhaseStats warm;
-      RunBatch(executor, hot_pool, slo_ms, &warm, mode);
-      uint64_t blocks0 = SnapshotDecodeTallies().blocks_decoded;
-      WallTimer timer;
-      for (int i = 0; i < kPasses; ++i) {
-        RunBatch(executor, hot_pool, slo_ms, &pipe_base, mode);
-      }
-      double secs = timer.ElapsedSeconds();
-      uint64_t blocks = SnapshotDecodeTallies().blocks_decoded - blocks0;
-      pipe_base_qps = secs > 0 ? static_cast<double>(pipe_base.ok) / secs : 0;
-      pipe_base_blocks = pipe_base.ok > 0
-                             ? static_cast<double>(blocks) /
-                                   static_cast<double>(pipe_base.ok)
-                             : 0;
-      ExecutorMetrics em = executor.metrics();
-      pipe_base_busy_ms =
-          em.completed > 0
-              ? em.exec_ms_total / static_cast<double>(em.completed)
-              : 0;
-    }
-    {
-      ExecutorConfig pcfg;
-      pcfg.num_threads = threads;
-      pcfg.queue_capacity = 1024;
+      QueryExecutor base(engine.get(), PoolConfig(threads));
+      ExecutorConfig pcfg = PoolConfig(threads);
       pcfg.pipeline.enabled = true;
       // A whole submission chunk can share one arena scope, and the hot
       // context's decoded blocks at this corpus scale outgrow the 1 MiB
       // default (overflow falls back to private decode, muting sharing).
       pcfg.pipeline.max_batch = 16;
       pcfg.pipeline.arena_bytes = 4u << 20;
-      QueryExecutor executor(engine.get(), pcfg);
+      QueryExecutor staged(engine.get(), pcfg);
       PhaseStats warm;
-      RunBatch(executor, hot_pool, slo_ms, &warm, mode);
-      uint64_t blocks0 = SnapshotDecodeTallies().blocks_decoded;
-      WallTimer timer;
-      for (int i = 0; i < kPasses; ++i) {
-        RunBatch(executor, hot_pool, slo_ms, &pipe_staged, mode);
+      RunBatch(base, hot_pool, slo_ms, &warm, mode);
+      RunBatch(staged, hot_pool, slo_ms, &warm, mode);
+      // One timed region: the two executors take turns, one 16-query
+      // submission chunk each (the first turn alternating), so host drift
+      // lands on both alike and their QPS ratio is one measurement. Each
+      // executor's QPS is its queries over the time of its own turns.
+      struct Arm {
+        QueryExecutor* executor;
+        PhaseStats* stats;
+        double ms = 0.0;
+        uint64_t blocks = 0;
+      };
+      Arm arms[2] = {{&base, &pipe_base}, {&staged, &pipe_staged}};
+      const std::span<const ContextQuery> pool(hot_pool);
+      const size_t kChunk = 16;
+      size_t turn = 0;
+      for (int pass = 0; pass < kPasses; ++pass) {
+        for (size_t at = 0; at < pool.size(); at += kChunk, ++turn) {
+          const auto chunk =
+              pool.subspan(at, std::min(kChunk, pool.size() - at));
+          for (size_t k = 0; k < 2; ++k) {
+            Arm& arm = arms[(turn + k) % 2];
+            const uint64_t b0 = SnapshotDecodeTallies().blocks_decoded;
+            WallTimer timer;
+            RunBatch(*arm.executor, chunk, slo_ms, arm.stats, mode);
+            arm.ms += timer.ElapsedMillis();
+            arm.blocks += SnapshotDecodeTallies().blocks_decoded - b0;
+          }
+        }
       }
-      double secs = timer.ElapsedSeconds();
-      uint64_t blocks = SnapshotDecodeTallies().blocks_decoded - blocks0;
-      pipe_staged_qps =
-          secs > 0 ? static_cast<double>(pipe_staged.ok) / secs : 0;
-      pipe_staged_blocks = pipe_staged.ok > 0
-                               ? static_cast<double>(blocks) /
-                                     static_cast<double>(pipe_staged.ok)
-                               : 0;
-      pipe_metrics = executor.pipeline();
+      auto qps = [](const Arm& a) {
+        return a.ms > 0 ? static_cast<double>(a.stats->ok) * 1000.0 / a.ms
+                        : 0.0;
+      };
+      auto blocks_per_query = [](const Arm& a) {
+        return a.stats->ok > 0 ? static_cast<double>(a.blocks) /
+                                     static_cast<double>(a.stats->ok)
+                               : 0.0;
+      };
+      pipe_base_qps = qps(arms[0]);
+      pipe_staged_qps = qps(arms[1]);
+      pipe_base_blocks = blocks_per_query(arms[0]);
+      pipe_staged_blocks = blocks_per_query(arms[1]);
+      ExecutorMetrics em = base.metrics();
+      pipe_base_busy_ms =
+          em.completed > 0
+              ? em.exec_ms_total / static_cast<double>(em.completed)
+              : 0;
+      pipe_metrics = staged.pipeline();
     }
   }
   {

@@ -430,13 +430,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(blocks[1]),
                   static_cast<unsigned long long>(blocks[2]));
       const csr::IntersectTallies it = csr::SnapshotIntersectTallies();
-      std::printf("intersect: pairwise=%llu wide_probe=%llu gallop=%llu "
-                  "leapfrog{merge=%llu gallop=%llu}\n",
+      std::printf("intersect: pairwise=%llu wide_probe=%llu gallop=%llu\n",
                   static_cast<unsigned long long>(it.pairwise),
                   static_cast<unsigned long long>(it.wide_probe),
-                  static_cast<unsigned long long>(it.gallop),
-                  static_cast<unsigned long long>(it.leapfrog_merge),
-                  static_cast<unsigned long long>(it.leapfrog_gallop));
+                  static_cast<unsigned long long>(it.gallop));
       std::printf("intersect ratios:");
       for (size_t k = 0; k < csr::kIntersectRatioBuckets; ++k) {
         if (it.ratio_hist[k] == 0) continue;

@@ -278,8 +278,6 @@ void ContextSearchEngine::RegisterMetrics() {
     snap.counters["intersect.kernel.pairwise"] = t.pairwise;
     snap.counters["intersect.kernel.wide_probe"] = t.wide_probe;
     snap.counters["intersect.kernel.gallop"] = t.gallop;
-    snap.counters["intersect.leapfrog.merge"] = t.leapfrog_merge;
-    snap.counters["intersect.leapfrog.gallop"] = t.leapfrog_gallop;
     for (size_t i = 0; i < kIntersectRatioBuckets; ++i) {
       if (t.ratio_hist[i] == 0) continue;  // keep .metrics output dense
       std::string name = "intersect.ratio." + std::to_string(1ull << i);
@@ -710,18 +708,9 @@ uint64_t ContextSearchEngine::ContextSize(
   std::vector<SearchPart> parts = MakeParts(*live);
   uint64_t total = 0;
   for (const SearchPart& part : parts) {
-    std::vector<PostingCursor> cursors;
-    cursors.reserve(context.size());
-    bool missing = false;
-    for (TermId m : context) {
-      PostingCursor c = part.predicate->cursor(m);
-      if (!c.valid()) {
-        missing = true;
-        break;
-      }
-      cursors.push_back(std::move(c));
-    }
-    if (!missing) total += CountIntersection(std::move(cursors));
+    std::vector<PostingRef> lists;
+    for (TermId m : context) lists.push_back(part.predicate->ref(m));
+    total += CountIntersection(lists);
   }
   return total;
 }
@@ -1297,14 +1286,12 @@ uint32_t ContextSearchEngine::AddUncoveredKeywordStats(
     const TermId w = qstats.keywords[i];
     SpanGuard kspan(tctx, "intersect:df");
     CostCounters before;
-    std::string strategy;
     if (kspan) before = cost;
     KeywordCounts total;
     for (const SearchPart& part : parts) {
       KeywordCounts c = CountKeywordInContext(
           *part.content, *part.predicate, query.context, w, need_tc, &cost,
-          part.years, query.years, guard,
-          kspan && strategy.empty() ? &strategy : nullptr);
+          part.years, query.years, guard);
       total.df += c.df;
       total.tc += c.tc;
       if (guard != nullptr && guard->tripped()) break;
@@ -1314,7 +1301,7 @@ uint32_t ContextSearchEngine::AddUncoveredKeywordStats(
     if (kspan) {
       kspan.Attr("keyword", static_cast<uint64_t>(w));
       kspan.Attr("lists", static_cast<uint64_t>(query.context.size() + 1));
-      if (!strategy.empty()) kspan.Attr("strategy", strategy);
+      kspan.Attr("strategy", ConjunctionPlan(query.context.size() + 1));
       kspan.Attr("df", total.df);
       AttrIntersectionCostDelta(kspan.get(), cost, before);
     }
@@ -1523,47 +1510,48 @@ void ContextSearchEngine::ScorePending(PreparedSearch& ps) const {
 Status ContextSearchEngine::SearchIntersect(PreparedSearch& ps) const {
   SearchResult& result = ps.result;
   // Phase 2: retrieval. The unranked result is the conjunction of all
-  // keyword and predicate lists, evaluated most-selective-first with skips
-  // (identical across modes — only the statistics differ). Matches are
-  // scored in chunks as the intersection produces them (the score stage
-  // drains the final chunk), so memory stays bounded and the Offer order
-  // matches the fused loop exactly.
+  // keyword and predicate lists, run by the conjunction engine shortest
+  // list first (identical across modes — only the statistics differ).
+  // Survivors arrive a window at a time in docid order; their keyword tfs
+  // are read then (only blocks holding a survivor decode tfs), and the
+  // matches are scored in chunks (the score stage drains the final
+  // chunk), so memory stays bounded. A guard trip leaves a docid prefix
+  // of the answer (degradation rung 3).
   constexpr size_t kScoreChunk = 4096;
   WallTimer retrieval_timer;
   SpanGuard retrieval_span(ps.root, "retrieval");
 
-  // Per-part cursor sets: a keyword missing from one segment's dictionary
-  // only rules that segment out. Parts are iterated in ascending docid
-  // order through ONE shared collector, so ties resolve exactly as they
-  // would over a flattened index. A part whose D_P the stats phase
-  // materialized joins the keyword lists with that set (already
-  // year-filtered) instead of re-joining its m predicate lists.
-  std::vector<std::pair<const SearchPart*, std::vector<PostingCursor>>> ready;
+  // Per-part lists: a keyword missing from one segment's dictionary only
+  // rules that segment out. Parts are iterated in ascending docid order
+  // through ONE shared collector, so ties resolve exactly as they would
+  // over a flattened index. A part whose D_P the stats phase materialized
+  // joins the keyword lists with that set (already year-filtered) instead
+  // of re-joining its m predicate lists.
+  std::vector<std::pair<const SearchPart*, std::vector<PostingRef>>> ready;
+  CostCounters* cost = &result.metrics.cost;
   for (size_t p = 0; p < ps.parts.size(); ++p) {
     const SearchPart& part = ps.parts[p];
     const ContextSet* set = p < ps.context_sets.size() &&
                                     ps.context_sets[p].has_value()
                                 ? &*ps.context_sets[p]
                                 : nullptr;
-    std::vector<PostingCursor> cursors;
-    bool part_empty = false;
+    std::vector<PostingRef> lists;
     for (TermId w : ps.qstats.keywords) {
-      cursors.push_back(part.content->cursor(w, &result.metrics.cost));
-      if (!cursors.back().valid()) part_empty = true;
+      lists.push_back(part.content->ref(w, cost));
     }
     if (set != nullptr) {
-      cursors.push_back(set->cursor(&result.metrics.cost));
-      if (!cursors.back().valid()) part_empty = true;
+      lists.push_back(set->ref(cost));
     } else {
       for (TermId m : ps.query.context) {
-        cursors.push_back(part.predicate->cursor(m, &result.metrics.cost));
-        if (!cursors.back().valid()) part_empty = true;
+        lists.push_back(part.predicate->ref(m, cost));
       }
     }
-    if (!part_empty) {
-      ready.emplace_back(&part, std::move(cursors));
-      if (set != nullptr) ++ps.set_parts;
+    if (std::any_of(lists.begin(), lists.end(),
+                    [](const PostingRef& l) { return l.size() == 0; })) {
+      continue;
     }
+    ready.emplace_back(&part, std::move(lists));
+    if (set != nullptr) ++ps.set_parts;
   }
   ps.joined_parts = ready.size();
 
@@ -1572,31 +1560,39 @@ Status ContextSearchEngine::SearchIntersect(PreparedSearch& ps) const {
     CostCounters before;
     if (ispan) before = result.metrics.cost;
     const size_t k = ps.qstats.keywords.size();
-    bool shape_attrs = false;
-    for (auto& [part, cursors] : ready) {
-      ConjunctionIterator it(std::move(cursors), &ps.guard);
-      if (ispan && !shape_attrs) {
-        ispan.Attr("lists", static_cast<uint64_t>(it.num_lists()));
-        ispan.Attr("strategy", it.StrategyMix());
-        ispan.Attr("scoring", ranking_->name());
-        ispan.Attr("top_k", static_cast<uint64_t>(config_.top_k));
-        ispan.Attr("context_set", static_cast<uint64_t>(ps.set_parts));
-        if (ready.size() > 1) {
-          ispan.Attr("segments", static_cast<uint64_t>(ready.size()));
+    if (ispan) {
+      ispan.Attr("lists", static_cast<uint64_t>(ready[0].second.size()));
+      ispan.Attr("strategy", ConjunctionPlan(ready[0].second.size()));
+      ispan.Attr("scoring", ranking_->name());
+      ispan.Attr("top_k", static_cast<uint64_t>(config_.top_k));
+      ispan.Attr("context_set", static_cast<uint64_t>(ps.set_parts));
+      if (ready.size() > 1) {
+        ispan.Attr("segments", static_cast<uint64_t>(ready.size()));
+      }
+    }
+    std::vector<DocId> docs;
+    for (auto& [part, lists] : ready) {
+      Conjunction conj(lists, &ps.guard);
+      while (conj.Next(docs)) {
+        if (ps.query.years.active()) {
+          std::erase_if(docs, [&, part = part](DocId d) {
+            return !ps.query.years.Contains(part->years[d]);
+          });
         }
-        shape_attrs = true;
-      }
-      for (; !it.AtEnd(); it.Next()) {
-        if (!ps.query.years.Contains(part->years[it.doc()])) continue;
-        result.result_count++;
-        ps.pending.push_back(PreparedSearch::Match{
-            part->base + it.doc(), part->content->doc_length(it.doc())});
-        // tfs are read at match time — the lazy per-block tf decode (and
-        // its cost charge) happens exactly where the fused loop paid it.
-        for (size_t i = 0; i < k; ++i) ps.pending_tfs.push_back(it.tf(i));
+        result.result_count += docs.size();
+        const size_t row = ps.pending_tfs.size();
+        ps.pending_tfs.resize(row + docs.size() * k);
+        for (size_t i = 0; i < k; ++i) {
+          conj.Tfs(i, docs, ps.pending_tfs.data() + row + i, k);
+        }
+        for (DocId d : docs) {
+          ps.pending.push_back(PreparedSearch::Match{
+              part->base + d, part->content->doc_length(d)});
+        }
         if (ps.pending.size() >= kScoreChunk) ScorePending(ps);
+        docs.clear();
       }
-      if (it.aborted()) {
+      if (conj.aborted()) {
         ps.retrieval_aborted = true;
         break;
       }

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstring>
 
-#include "index/simd_intersect.h"
 #include "index/simd_unpack.h"
 
 // Arena buffers outlive their batch by design; under AddressSanitizer they
@@ -842,9 +841,40 @@ CompressedPostingList::Iterator::Iterator(const CompressedPostingList* list,
   LoadBlock(0);
 }
 
-std::string_view CompressedPostingList::Iterator::BlockBytes(
-    size_t block) const {
-  return list_->BlockBytes(block);
+std::span<const DocId> CompressedPostingList::LoadDocs(
+    size_t block, std::vector<DocId>& own, size_t* tf_offset) const {
+  if (DecodedBlockArena* arena = DecodedBlockArena::Active()) {
+    // nullptr: arena at its byte bound, or a corrupt block — decode
+    // privately, exactly as without an arena.
+    if (const DecodedBlockArena::Entry* e = arena->GetDocs(this, block)) {
+      *tf_offset = e->tf_offset;
+      return e->docs;
+    }
+  }
+  const BlockMeta& meta = blocks_[block];
+  Status s = DecodeTaggedDocs(BlockBytes(block), meta.base, meta.count, own,
+                              tf_offset);
+  if (!s.ok() || own.empty()) {
+    // Defensive: self-built lists cannot hit this, and persisted lists are
+    // whole-file checksummed before they get here. Poison rather than UB.
+    own.clear();
+    return {};
+  }
+  g_blocks_decoded.fetch_add(1, std::memory_order_relaxed);
+  return own;
+}
+
+std::span<const uint32_t> CompressedPostingList::LoadTfs(
+    size_t block, size_t tf_offset, std::vector<uint32_t>& own) const {
+  if (DecodedBlockArena* arena = DecodedBlockArena::Active()) {
+    if (const DecodedBlockArena::Entry* e = arena->GetTfs(this, block)) {
+      return e->tfs;
+    }
+  }
+  Status s =
+      DecodeTaggedTfs(BlockBytes(block), tf_offset, blocks_[block].count, own);
+  if (!s.ok()) own.clear();  // tfs read as 0; docids stay servable
+  return own;
 }
 
 void CompressedPostingList::Iterator::LoadBlock(size_t block) {
@@ -852,35 +882,13 @@ void CompressedPostingList::Iterator::LoadBlock(size_t block) {
   pos_ = 0;
   tfs_loaded_ = false;
   tfs_ = {};
-  const BlockMeta& meta = list_->blocks_[block];
-  if (DecodedBlockArena* arena = DecodedBlockArena::Active()) {
-    if (const DecodedBlockArena::Entry* e = arena->GetDocs(list_, block)) {
-      // Shared decode: every iterator in the batch views the same run, but
-      // the cost charge is identical to a private decode — per-query
-      // counters must not depend on batch composition.
-      docs_ = std::span<const DocId>(e->docs);
-      tf_offset_ = e->tf_offset;
-      if (cost_ != nullptr) {
-        cost_->segments_touched++;
-        cost_->bytes_touched += 1 + tf_offset_;  // tag + docid section
-      }
-      return;
-    }
-    // nullptr: arena at its byte bound, or a corrupt block — decode
-    // privately, exactly as without an arena.
-  }
-  Status s = DecodeTaggedDocs(BlockBytes(block), meta.base, meta.count,
-                              own_docs_, &tf_offset_);
-  if (!s.ok() || own_docs_.empty()) {
-    // Defensive: self-built lists cannot hit this, and persisted lists are
-    // whole-file checksummed before they get here. Poison rather than UB.
-    own_docs_.clear();
-    docs_ = {};
+  // A shared (arena) decode is charged exactly like a private one:
+  // per-query counters must not depend on batch composition.
+  docs_ = list_->LoadDocs(block, own_docs_, &tf_offset_);
+  if (docs_.empty()) {
     at_end_ = true;
     return;
   }
-  g_blocks_decoded.fetch_add(1, std::memory_order_relaxed);
-  docs_ = std::span<const DocId>(own_docs_);
   if (cost_ != nullptr) {
     cost_->segments_touched++;
     cost_->bytes_touched += 1 + tf_offset_;  // tag + docid section
@@ -890,30 +898,13 @@ void CompressedPostingList::Iterator::LoadBlock(size_t block) {
 void CompressedPostingList::Iterator::LoadTfs() const {
   tfs_loaded_ = true;
   if (at_end_ || docs_.empty()) {
-    own_tfs_.clear();
     tfs_ = {};
     return;
   }
-  std::string_view raw = BlockBytes(block_);
-  if (DecodedBlockArena* arena = DecodedBlockArena::Active()) {
-    if (const DecodedBlockArena::Entry* e = arena->GetTfs(list_, block_)) {
-      tfs_ = std::span<const uint32_t>(e->tfs);
-      if (cost_ != nullptr) {
-        cost_->bytes_touched += raw.size() - (1 + tf_offset_);
-      }
-      return;
-    }
-  }
-  Status s = DecodeTaggedTfs(raw, tf_offset_, list_->blocks_[block_].count,
-                             own_tfs_);
-  if (!s.ok()) {
-    own_tfs_.clear();  // tf() degrades to 0; docids stay servable
-    tfs_ = {};
-    return;
-  }
-  tfs_ = std::span<const uint32_t>(own_tfs_);
-  if (cost_ != nullptr) {
-    cost_->bytes_touched += raw.size() - (1 + tf_offset_);
+  tfs_ = list_->LoadTfs(block_, tf_offset_, own_tfs_);
+  if (!tfs_.empty() && cost_ != nullptr) {
+    cost_->bytes_touched +=
+        list_->BlockBytes(block_).size() - (1 + tf_offset_);
   }
 }
 
@@ -1002,628 +993,6 @@ void CompressedPostingList::Iterator::MergeTo(DocId target) {
       return;
     }
   }
-}
-
-namespace {
-
-/// 64 bitmap bits starting at bit `bit_off`; bits past the bitmap's end
-/// read as zero. LSB of the result is bit `bit_off`.
-inline uint64_t BitmapWindow(const uint8_t* bits, size_t nbytes,
-                             uint64_t bit_off) {
-  const size_t byte = bit_off >> 3;
-  const unsigned sh = static_cast<unsigned>(bit_off & 7);
-  if (byte >= nbytes) return 0;
-  const size_t n = nbytes - byte;
-  uint64_t lo = 0;
-  uint8_t ex = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    if (n >= 9) {
-      std::memcpy(&lo, bits + byte, 8);
-      ex = bits[byte + 8];
-    } else {
-      std::memcpy(&lo, bits + byte, std::min<size_t>(n, 8));
-    }
-  } else {
-    for (size_t k = 0; k < n && k < 8; ++k) {
-      lo |= static_cast<uint64_t>(bits[byte + k]) << (8 * k);
-    }
-    if (n >= 9) ex = bits[byte + 8];
-  }
-  return sh == 0 ? lo
-                 : (lo >> sh) | (static_cast<uint64_t>(ex) << (64 - sh));
-}
-
-/// One side of the pairwise kernel: walks the block directory forward,
-/// materializing per block either the bitmap view (zero-copy) or the
-/// decoded docid array — whichever the probes need — and charging the
-/// block's decode bytes to CostCounters exactly once however many probes
-/// land in it.
-class PairwiseSide {
- public:
-  PairwiseSide(const CompressedPostingList& list, CostCounters* cost)
-      : list_(list), cost_(cost) {}
-
-  bool exhausted() const { return cur_ >= list_.num_blocks(); }
-  const CompressedPostingList::BlockMeta& meta() const {
-    return list_.blocks()[cur_];
-  }
-  bool loaded() const { return charged_; }
-  size_t current_block() const { return cur_; }
-
-  void MoveTo(size_t next) {
-    cur_ = next;
-    tagged_ = false;
-    view_ok_ = false;
-    docs_ok_ = false;
-    tfs_ok_ = false;
-    charged_ = false;
-    pos_ = 0;
-  }
-
-  /// Advances the current block until meta().max_doc >= d (gallop +
-  /// binary search over the directory, skipped blocks never decoded).
-  bool SeekBlock(DocId d) {
-    auto blocks = list_.blocks();
-    if (cur_ >= blocks.size()) return false;
-    if (blocks[cur_].max_doc >= d) return true;
-    size_t bound = 1;
-    while (cur_ + bound < blocks.size() &&
-           blocks[cur_ + bound].max_doc < d) {
-      bound <<= 1;
-    }
-    size_t lo = cur_ + bound / 2 + 1;
-    size_t hi = std::min(cur_ + bound + 1, blocks.size());
-    auto it = std::lower_bound(
-        blocks.begin() + lo, blocks.begin() + hi, d,
-        [](const CompressedPostingList::BlockMeta& m, DocId t) {
-          return m.max_doc < t;
-        });
-    size_t next = static_cast<size_t>(it - blocks.begin());
-    if (cost_ != nullptr) {
-      cost_->skips_taken++;
-      if (next > cur_ + 1) cost_->blocks_skipped += next - cur_ - 1;
-    }
-    MoveTo(next);
-    return cur_ < blocks.size();
-  }
-
-  bool IsBitmap() {
-    if (!tagged_) {
-      tagged_ = true;
-      is_bitmap_ = list_.BlockCodecTag(cur_) == BlockCodec::kBitmap;
-    }
-    return is_bitmap_;
-  }
-
-  /// Zero-copy bitmap view of the current (bitmap) block.
-  const BitmapBlockCodec::View& View() {
-    if (!view_ok_) {
-      view_ok_ = true;
-      std::string_view raw = list_.BlockBytes(cur_);
-      auto v = BitmapBlockCodec::MakeView(raw.substr(1), meta().base);
-      // Self-built or checksum-verified bytes; a failure here means the
-      // in-memory image was corrupted. Poison to an empty view.
-      view_ = v.ok() ? v.value() : BitmapBlockCodec::View{};
-      ChargeOnce(1 + 5 + (static_cast<size_t>(view_.range) + 7) / 8);
-    }
-    return view_;
-  }
-
-  /// Decoded docids of the current block (any representation).
-  std::span<const DocId> Docs() {
-    if (!docs_ok_) {
-      docs_ok_ = true;
-      Status s = DecodeTaggedDocs(list_.BlockBytes(cur_), meta().base,
-                                  meta().count, docs_, &tf_offset_);
-      if (!s.ok()) docs_.clear();  // poison, mirroring Iterator::LoadBlock
-      ChargeOnce(1 + tf_offset_);
-    }
-    return docs_;
-  }
-
-  /// Decoded tfs of the current block, in docid order (after Docs()).
-  std::span<const uint32_t> Tfs() {
-    if (!tfs_ok_) {
-      tfs_ok_ = true;
-      std::string_view raw = list_.BlockBytes(cur_);
-      Status s = DecodeTaggedTfs(raw, tf_offset_, meta().count, tfs_);
-      if (!s.ok()) tfs_.clear();  // tf reads as 0, as in Iterator::tf
-      if (cost_ != nullptr) cost_->bytes_touched += raw.size() - (1 + tf_offset_);
-    }
-    return tfs_;
-  }
-
-  size_t& pos() { return pos_; }
-
-  /// Membership probe for d in the current block; d must not exceed
-  /// meta().max_doc. Probes are monotone within a block, advancing an
-  /// internal cursor by linear (merge) or galloping steps.
-  bool Contains(DocId d, bool merge_probe) {
-    const auto& m = meta();
-    // In the gap before this block. Block 0 may legitimately start AT its
-    // base (docid 0, base 0); every later block's docs are strictly > base.
-    if (d < m.base || (d == m.base && cur_ != 0)) return false;
-    if (cost_ != nullptr) cost_->entries_scanned++;
-    if (IsBitmap()) return View().Test(d);
-    std::span<const DocId> docs = Docs();
-    if (merge_probe) {
-      while (pos_ < docs.size() && docs[pos_] < d) ++pos_;
-    } else {
-      size_t bound = 1;
-      while (pos_ + bound < docs.size() && docs[pos_ + bound] < d) {
-        bound <<= 1;
-      }
-      size_t lo = pos_ + bound / 2;
-      size_t hi = std::min(pos_ + bound + 1, docs.size());
-      pos_ = static_cast<size_t>(
-          std::lower_bound(docs.begin() + lo, docs.begin() + hi, d) -
-          docs.begin());
-    }
-    return pos_ < docs.size() && docs[pos_] == d;
-  }
-
- private:
-  void ChargeOnce(size_t bytes) {
-    if (charged_ || cost_ == nullptr) return;
-    charged_ = true;
-    cost_->segments_touched++;
-    cost_->bytes_touched += bytes;
-  }
-
-  const CompressedPostingList& list_;
-  CostCounters* cost_;
-  size_t cur_ = 0;
-  bool tagged_ = false;
-  bool is_bitmap_ = false;
-  bool view_ok_ = false;
-  bool docs_ok_ = false;
-  bool tfs_ok_ = false;
-  bool charged_ = false;
-  BitmapBlockCodec::View view_;
-  std::vector<DocId> docs_;
-  std::vector<uint32_t> tfs_;
-  size_t tf_offset_ = 0;
-  size_t pos_ = 0;
-};
-
-/// The pairwise loop: for each driver block, windows of candidate docids
-/// are intersected against the probe side's blocks. Sink sees either
-/// whole 64-bit AND words (Word) or individual matches (Doc), always in
-/// increasing docid order.
-///
-/// Array×array windows dispatch to the SIMD kernel family
-/// (simd_intersect.h): the overlapping slices of both decoded blocks are
-/// handed to SimdIntersect, which picks pairwise-shuffle / wide-probe /
-/// SIMD-gallop from the window length ratio and the active dispatch
-/// level. Cost parity with the per-value probe loop is kept analytically:
-/// the probe side is charged one entries_scanned per driver value at or
-/// above the probe block's first possible docid — exactly what
-/// PairwiseSide::Contains charged, and independent of the dispatch level,
-/// so counters stay bit-identical under CSR_FORCE_SCALAR differentials.
-///
-/// A non-null `guard` is charged one tick per `drv` docid no greater than
-/// the probe list's last docid, block by block before the block is
-/// probed; the scan stops when it trips.
-template <typename Sink>
-void PairwiseIntersectImpl(const CompressedPostingList& drv,
-                           const CompressedPostingList& oth,
-                           CostCounters* drv_cost, CostCounters* oth_cost,
-                           bool merge_probe, ScanGuard* guard, Sink&& sink) {
-  PairwiseSide a(drv, drv_cost);
-  PairwiseSide b(oth, oth_cost);
-  std::vector<DocId> matches;  // kernel scratch, reused across windows
-  const size_t nblocks = drv.num_blocks();
-  const DocId oth_last = oth.blocks().back().max_doc;
-  for (size_t db = 0; db < nblocks; ++db) {
-    a.MoveTo(db);
-    const auto& m = a.meta();
-    if (guard != nullptr) {
-      uint64_t ticks = m.count;
-      if (m.max_doc > oth_last) {
-        std::span<const DocId> docs = a.Docs();
-        ticks = static_cast<uint64_t>(
-            std::upper_bound(docs.begin(), docs.end(), oth_last) -
-            docs.begin());
-      }
-      if (guard->Charge(ticks)) return;
-    }
-    // Candidates live in [base, max_doc] for the very first block (docid
-    // 0 can equal base 0) and (base, max_doc] afterwards.
-    uint64_t next_d = static_cast<uint64_t>(m.base) + (db == 0 ? 0 : 1);
-    bool drv_block_touched = false;
-    while (next_d <= m.max_doc) {
-      if (!b.SeekBlock(static_cast<DocId>(next_d))) return;
-      const auto& om = b.meta();
-      if (om.base > m.max_doc) break;  // no probe docs within this block
-      const DocId hi = std::min(m.max_doc, om.max_doc);
-      if (a.IsBitmap() && b.IsBitmap()) {
-        const BitmapBlockCodec::View& va = a.View();
-        const BitmapBlockCodec::View& vb = b.View();
-        drv_block_touched = true;
-        const size_t na = (static_cast<size_t>(va.range) + 7) / 8;
-        const size_t nb = (static_cast<size_t>(vb.range) + 7) / 8;
-        uint64_t lo = std::max({next_d, static_cast<uint64_t>(va.first),
-                                static_cast<uint64_t>(vb.first)});
-        for (uint64_t chunk = lo; chunk <= hi; chunk += 64) {
-          uint64_t w = BitmapWindow(va.bits, na, chunk - va.first) &
-                       BitmapWindow(vb.bits, nb, chunk - vb.first);
-          const uint64_t span = hi - chunk;  // inclusive span minus one
-          if (span < 63) w &= (1ull << (span + 1)) - 1;
-          if (w != 0) sink.Word(static_cast<DocId>(chunk), w);
-        }
-        if (oth_cost != nullptr) {
-          oth_cost->entries_scanned += (hi - lo) / 64 + 1;
-        }
-      } else if (b.IsBitmap()) {
-        std::span<const DocId> docs = a.Docs();
-        drv_block_touched = true;
-        size_t& pos = a.pos();
-        while (pos < docs.size() && docs[pos] < next_d) ++pos;
-        for (; pos < docs.size() && docs[pos] <= hi; ++pos) {
-          if (b.Contains(docs[pos], merge_probe)) sink.Doc(docs[pos]);
-        }
-        if (pos >= docs.size()) break;  // driver block exhausted
-        if (docs[pos] > hi) {
-          // Gallop straight to the next driver candidate: SeekBlock can
-          // then leap candidate-free probe blocks (charged to
-          // blocks_skipped) instead of walking them one by one.
-          next_d = docs[pos];
-          continue;
-        }
-      } else {
-        std::span<const DocId> docs = a.Docs();
-        drv_block_touched = true;
-        size_t& pos = a.pos();
-        while (pos < docs.size() && docs[pos] < next_d) ++pos;
-        // Driver window: candidates in [next_d, hi].
-        const size_t wend = static_cast<size_t>(
-            std::upper_bound(docs.begin() + pos, docs.end(), hi) -
-            docs.begin());
-        if (wend > pos) {
-          // Values below the probe block's first possible docid sit in the
-          // inter-block gap; Contains never charged (or decoded) for them.
-          // Block 0 may start AT its base, later blocks strictly above it.
-          const DocId min_in =
-              om.base + (b.current_block() == 0 ? 0 : 1);
-          const size_t in_from = static_cast<size_t>(
-              std::lower_bound(docs.begin() + pos, docs.begin() + wend,
-                               min_in) -
-              docs.begin());
-          if (in_from < wend) {
-            if (oth_cost != nullptr) {
-              oth_cost->entries_scanned += wend - in_from;
-            }
-            std::span<const DocId> bdocs = b.Docs();
-            size_t& bpos = b.pos();
-            const size_t bstart = static_cast<size_t>(
-                std::lower_bound(bdocs.begin() + bpos, bdocs.end(),
-                                 docs[in_from]) -
-                bdocs.begin());
-            const size_t bend = static_cast<size_t>(
-                std::upper_bound(bdocs.begin() + bstart, bdocs.end(), hi) -
-                bdocs.begin());
-            if (bend > bstart) {
-              matches.resize(std::min(wend - in_from, bend - bstart));
-              const size_t nm = SimdIntersect(
-                  docs.data() + in_from, wend - in_from,
-                  bdocs.data() + bstart, bend - bstart, matches.data());
-              for (size_t k = 0; k < nm; ++k) sink.Doc(matches[k]);
-            }
-            // All docids <= hi in this probe block are consumed; future
-            // probes (same block, later windows) are strictly above hi.
-            bpos = bend;
-          }
-        }
-        a.pos() = wend;
-        if (wend >= docs.size()) break;  // driver block exhausted
-        if (docs[wend] > hi) {
-          // Gallop straight to the next driver candidate: SeekBlock can
-          // then leap candidate-free probe blocks (charged to
-          // blocks_skipped) instead of walking them one by one.
-          next_d = docs[wend];
-          continue;
-        }
-      }
-      if (hi >= m.max_doc) break;
-      next_d = static_cast<uint64_t>(hi) + 1;
-    }
-    if (!drv_block_touched && drv_cost != nullptr) {
-      drv_cost->blocks_skipped++;  // bypassed without decoding
-    }
-    if (b.exhausted()) return;
-  }
-}
-
-struct CountSink {
-  uint64_t n = 0;
-  void Doc(DocId) { ++n; }
-  void Word(DocId, uint64_t w) { n += static_cast<uint64_t>(std::popcount(w)); }
-};
-
-struct BatchSink {
-  explicit BatchSink(const std::function<void(std::span<const DocId>)>* f)
-      : fn(f) {}
-  const std::function<void(std::span<const DocId>)>* fn;
-  std::array<DocId, kPairwiseBatch> buf;
-  size_t len = 0;
-  uint64_t n = 0;
-  void Doc(DocId d) {
-    buf[len++] = d;
-    if (len == buf.size()) Flush();
-  }
-  void Word(DocId first, uint64_t w) {
-    while (w != 0) {
-      unsigned bit = static_cast<unsigned>(std::countr_zero(w));
-      Doc(first + bit);
-      w &= w - 1;
-    }
-  }
-  void Flush() {
-    if (len == 0) return;
-    n += len;
-    (*fn)(std::span<const DocId>(buf.data(), len));
-    len = 0;
-  }
-};
-
-bool PairwiseMergeProbe(const CompressedPostingList& drv,
-                        const CompressedPostingList& oth) {
-  return ChooseIntersectStrategy(drv.size(), oth.size(),
-                                 drv.has_bitmap_blocks(),
-                                 oth.has_bitmap_blocks()) ==
-         IntersectStrategy::kMerge;
-}
-
-}  // namespace
-
-uint64_t CountPairwiseIntersection(const CompressedPostingList& a,
-                                   const CompressedPostingList& b,
-                                   CostCounters* cost_a, CostCounters* cost_b,
-                                   ScanGuard* guard) {
-  if (a.empty() || b.empty()) return 0;
-  const bool a_drives = a.size() <= b.size();
-  const CompressedPostingList& drv = a_drives ? a : b;
-  const CompressedPostingList& oth = a_drives ? b : a;
-  CountSink sink;
-  PairwiseIntersectImpl(drv, oth, a_drives ? cost_a : cost_b,
-                        a_drives ? cost_b : cost_a,
-                        PairwiseMergeProbe(drv, oth), guard, sink);
-  return sink.n;
-}
-
-uint64_t ScanPairwiseIntersection(const CompressedPostingList& a,
-                                  const CompressedPostingList& b,
-                                  CostCounters* cost_a, CostCounters* cost_b,
-                                  const std::function<void(DocId)>& on_match) {
-  return ScanPairwiseIntersectionBatches(
-      a, b, cost_a, cost_b, [&on_match](std::span<const DocId> docs) {
-        for (DocId d : docs) on_match(d);
-      });
-}
-
-uint64_t ScanPairwiseIntersectionBatches(
-    const CompressedPostingList& a, const CompressedPostingList& b,
-    CostCounters* cost_a, CostCounters* cost_b,
-    const std::function<void(std::span<const DocId>)>& on_batch,
-    ScanGuard* guard) {
-  if (a.empty() || b.empty()) return 0;
-  const bool a_drives = a.size() <= b.size();
-  const CompressedPostingList& drv = a_drives ? a : b;
-  const CompressedPostingList& oth = a_drives ? b : a;
-  BatchSink sink(&on_batch);
-  PairwiseIntersectImpl(drv, oth, a_drives ? cost_a : cost_b,
-                        a_drives ? cost_b : cost_a,
-                        PairwiseMergeProbe(drv, oth), guard, sink);
-  sink.Flush();
-  return sink.n;
-}
-
-namespace {
-
-inline DocId DocOf(const Posting& p) { return p.doc; }
-inline DocId DocOf(DocId d) { return d; }
-
-/// The first index in [from, run.size()) whose docid exceeds `d`, by
-/// galloping then binary search.
-template <typename Run>
-size_t RunUpperBound(std::span<const Run> run, size_t from, DocId d) {
-  size_t bound = 1;
-  while (from + bound < run.size() && DocOf(run[from + bound]) <= d) {
-    bound <<= 1;
-  }
-  auto it = std::upper_bound(
-      run.begin() + from + bound / 2,
-      run.begin() + std::min(from + bound, run.size()), d,
-      [](DocId v, const Run& p) { return v < DocOf(p); });
-  return static_cast<size_t>(it - run.begin());
-}
-
-/// Counts the docids `window` and `docs` share (both sorted, strictly
-/// increasing), calling on_match(j) for each shared docs[j] when
-/// `positions` is set. Comparable sizes merge, branch-free when only the
-/// count is needed; a side 8x shorter gallops through the longer.
-template <typename Run, typename OnMatch>
-uint64_t MatchWindow(std::span<const Run> window,
-                     std::span<const DocId> docs, bool positions,
-                     OnMatch&& on_match) {
-  uint64_t n = 0;
-  const size_t nw = window.size();
-  const size_t nd = docs.size();
-  if (nw * 8 < nd || nd * 8 < nw) {
-    const bool window_short = nw < nd;
-    size_t a = 0;  // cursor in the longer side
-    const size_t long_n = window_short ? nd : nw;
-    auto long_doc = [&](size_t k) {
-      return window_short ? docs[k] : DocOf(window[k]);
-    };
-    for (size_t k = 0; k < (window_short ? nw : nd); ++k) {
-      const DocId d = window_short ? DocOf(window[k]) : docs[k];
-      size_t bound = 1;
-      while (a + bound < long_n && long_doc(a + bound) < d) bound <<= 1;
-      size_t lo = a + bound / 2;
-      size_t hi = std::min(a + bound + 1, long_n);
-      while (lo < hi) {
-        size_t mid = lo + (hi - lo) / 2;
-        if (long_doc(mid) < d) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      a = lo;
-      if (a == long_n) break;
-      if (long_doc(a) == d) {
-        ++n;
-        if (positions) on_match(window_short ? a : k);
-      }
-    }
-    return n;
-  }
-  size_t a = 0;
-  size_t b = 0;
-  if (!positions) {
-    while (a < nw && b < nd) {
-      const DocId x = DocOf(window[a]);
-      const DocId y = docs[b];
-      n += x == y;
-      a += x <= y;
-      b += y <= x;
-    }
-    return n;
-  }
-  while (a < nw && b < nd) {
-    const DocId x = DocOf(window[a]);
-    const DocId y = docs[b];
-    if (x == y) {
-      ++n;
-      on_match(b);
-      ++a;
-      ++b;
-    } else if (x < y) {
-      ++a;
-    } else {
-      ++b;
-    }
-  }
-  return n;
-}
-
-/// What a run-with-list block walk reports per match: nothing (a count),
-/// the match's index in the decoded block (to read its tf), or its docid.
-enum class JoinOut { kCount, kTf, kDocs };
-
-/// The block walk behind JoinRunWithList and SemiJoinRunWithList. For
-/// kTf and kDocs, calls on_match(side, doc, j) for every run docid the
-/// list holds, in increasing order; j is the docid's index in
-/// side.Docs(), except on bitmap probes (kCount and kDocs only), which
-/// pass 0. Guard ticks follow the join tick rule in codec.h.
-template <JoinOut kOut, typename Run, typename OnMatch>
-RunJoinResult JoinRunImpl(std::span<const Run> run,
-                          const CompressedPostingList& list,
-                          CostCounters* cost, ScanGuard* guard,
-                          OnMatch&& on_match) {
-  RunJoinResult out;
-  if (run.empty() || list.empty()) return out;
-  const auto blocks = list.blocks();
-  const bool run_drives = run.size() <= list.size();
-  const DocId run_last = DocOf(run.back());
-  auto charge = [&](uint64_t n) {
-    if (guard == nullptr || !guard->Charge(n)) return false;
-    out.aborted = true;
-    return true;
-  };
-  // When the list drives, every one of its postings up to run_last ticks:
-  // blocks before `ticked` are charged as the walk passes them.
-  size_t ticked = 0;
-  auto charge_blocks_before = [&](size_t b) {
-    uint64_t n = 0;
-    for (; ticked < b; ++ticked) n += blocks[ticked].count;
-    return charge(n);
-  };
-  PairwiseSide side(list, cost);
-  size_t i = 0;
-  while (i < run.size()) {
-    if (!side.SeekBlock(DocOf(run[i]))) {
-      // The rest of the run lies past the list, whose unticked postings
-      // all precede run_last.
-      if (!run_drives) charge_blocks_before(blocks.size());
-      break;
-    }
-    const size_t b = side.current_block();
-    const auto& meta = side.meta();
-    const size_t end = RunUpperBound(run, i, meta.max_doc);
-    std::span<const Run> window = run.subspan(i, end - i);
-    i = end;
-    if (run_drives) {
-      if (charge(window.size())) return out;
-    } else {
-      if (charge_blocks_before(b)) return out;
-      ticked = b + 1;
-      uint64_t n = meta.count;
-      if (meta.max_doc > run_last) {
-        std::span<const DocId> docs = side.Docs();
-        n = static_cast<uint64_t>(
-            std::upper_bound(docs.begin(), docs.end(), run_last) -
-            docs.begin());
-      }
-      if (charge(n)) return out;
-    }
-    if (cost != nullptr) cost->entries_scanned += window.size();
-    if (kOut != JoinOut::kTf && side.IsBitmap() &&
-        window.size() <= 2 * meta.count) {
-      const BitmapBlockCodec::View& view = side.View();
-      for (const Run& p : window) {
-        const bool hit = view.Test(DocOf(p));
-        out.matches += hit;
-        if constexpr (kOut == JoinOut::kDocs) {
-          if (hit) on_match(side, DocOf(p), 0);
-        }
-      }
-      continue;
-    }
-    std::span<const DocId> docs = side.Docs();
-    if (cost != nullptr) cost->entries_scanned += docs.size();
-    out.matches += MatchWindow(window, docs, kOut != JoinOut::kCount,
-                               [&](size_t j) { on_match(side, docs[j], j); });
-  }
-  return out;
-}
-
-}  // namespace
-
-RunJoinResult JoinRunWithList(std::span<const Posting> run,
-                              const CompressedPostingList& list, bool with_tf,
-                              CostCounters* cost, ScanGuard* guard) {
-  if (!with_tf) {
-    return JoinRunImpl<JoinOut::kCount>(run, list, cost, guard,
-                                        [](PairwiseSide&, DocId, size_t) {});
-  }
-  uint64_t tf_sum = 0;
-  RunJoinResult out = JoinRunImpl<JoinOut::kTf>(
-      run, list, cost, guard, [&tf_sum](PairwiseSide& side, DocId, size_t j) {
-        std::span<const uint32_t> tfs = side.Tfs();
-        if (j < tfs.size()) tf_sum += tfs[j];
-      });
-  out.tf_sum = tf_sum;
-  return out;
-}
-
-RunJoinResult SemiJoinRunWithList(
-    std::span<const DocId> run, const CompressedPostingList& list,
-    CostCounters* cost, ScanGuard* guard,
-    const std::function<void(std::span<const DocId>)>& on_batch) {
-  BatchSink sink(&on_batch);
-  RunJoinResult out = JoinRunImpl<JoinOut::kDocs>(
-      run, list, cost, guard,
-      [&sink](PairwiseSide&, DocId d, size_t) { sink.Doc(d); });
-  sink.Flush();
-  return out;
-}
-
-uint64_t CountCompressedIntersection(const CompressedPostingList& a,
-                                     const CompressedPostingList& b,
-                                     CostCounters* cost) {
-  return CountPairwiseIntersection(a, b, cost, cost);
 }
 
 }  // namespace csr

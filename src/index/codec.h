@@ -5,14 +5,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "index/cost_model.h"
 #include "index/posting_list.h"
-#include "index/scan_guard.h"
 #include "util/result.h"
 #include "util/types.h"
 
@@ -164,11 +162,12 @@ enum class CodecPolicy { kAuto, kVarintOnly, kForOnly, kBitmapPreferred };
 class CompressedPostingList;
 
 /// Per-batch decoded-block arena (staged pipeline executor, DESIGN.md
-/// §16). While a thread has an arena installed (Scope), every
-/// CompressedPostingList::Iterator block load first consults it: the
-/// first query in a batch to touch a (list, block) pair decodes it into
-/// the arena, and every later ConjunctionIterator in the same batch
-/// shares the decoded run by span — the block is decoded once per batch.
+/// §16). While a thread has an arena installed (Scope), every block load
+/// — CompressedPostingList::LoadDocs/LoadTfs, which iterators and the
+/// block kernels both use — first consults it: the first query in a
+/// batch to touch a (list, block) pair decodes it into the arena, and
+/// every later conjunction in the same batch shares the decoded run by
+/// span — the block is decoded once per batch.
 /// CostCounters are still charged per query exactly as if each query had
 /// decoded the block itself, so cost-driven behavior (degradation
 /// ladders, perf gates, trace attribution) is bit-identical with and
@@ -281,7 +280,8 @@ class DecodedBlockArena {
 
 /// Process-wide posting-block decode tally (relaxed atomic, mirroring the
 /// intersect-kernel tallies in simd_intersect.h): how many block docid
-/// sections iterators actually decoded, privately or into a batch arena.
+/// sections iterators and block kernels actually decoded, privately or
+/// into a batch arena.
 /// The serving bench snapshots deltas to report blocks-decoded-per-query
 /// with and without cross-query batching.
 struct DecodeTallies {
@@ -376,6 +376,19 @@ class CompressedPostingList {
   /// Decompresses the whole list (mainly for tests / rebuilds).
   std::vector<Posting> Decode() const;
 
+  /// The docids of `block`, and in *tf_offset where its tf section
+  /// starts: served from the calling thread's DecodedBlockArena when one
+  /// is installed, else decoded into `own`. Every decode, into the arena
+  /// or into `own`, counts in DecodeTallies::blocks_decoded. Empty on a
+  /// corrupt block. Iterators and the block kernels (intersection.h) load
+  /// every block through it; cost charges stay with the caller.
+  std::span<const DocId> LoadDocs(size_t block, std::vector<DocId>& own,
+                                  size_t* tf_offset) const;
+  /// The tfs of `block` given LoadDocs's `tf_offset`, from the arena or
+  /// decoded into `own`. Empty on a corrupt section (tfs read as 0).
+  std::span<const uint32_t> LoadTfs(size_t block, size_t tf_offset,
+                                    std::vector<uint32_t>& own) const;
+
   /// Iterator decoding one block at a time, with galloping skip support
   /// mirroring PostingList::Iterator. Only the docid section is decoded on
   /// block load; the tf section is decoded lazily on the first tf() call
@@ -407,7 +420,6 @@ class CompressedPostingList {
    private:
     void LoadBlock(size_t block);
     void LoadTfs() const;
-    std::string_view BlockBytes(size_t block) const;
 
     const CompressedPostingList* list_;
     CostCounters* cost_;
@@ -439,81 +451,6 @@ class CompressedPostingList {
   std::vector<BlockMeta> blocks_;
   std::array<uint64_t, 3> codec_counts_{};  // indexed by BlockCodec
 };
-
-/// Block-wise pairwise intersection — the kernel the entry points in
-/// intersection.h route two-list conjunctions over compressed lists
-/// through, guarded or not. Drives with the shorter list; bitmap blocks
-/// are consumed via word-wise AND (both sides bitmap) or O(1) membership
-/// probes (one side bitmap), array blocks are SIMD-decoded once per block
-/// and probed by galloping or linear merge steps per
-/// ChooseIntersectStrategy. Blocks whose range cannot overlap the other
-/// list are skipped without decoding, and decode bytes are charged to
-/// CostCounters exactly once per block touched. Matches arrive in
-/// increasing docid order.
-///
-/// Join tick rule, shared by every block kernel and by the plain-list
-/// joins in ContextSet: a join of a shorter side S with a longer side L
-/// (S = the first side, or the run, on a tie) ticks `guard` once per docid
-/// of S no greater than L's last docid, charged with ScanGuard::Charge
-/// block by block before the block is probed. The count depends on the
-/// docids alone, so a budget or an armed fault trips at the same tick
-/// whichever representation backs either side. After a trip the scan
-/// stops (guard->tripped()) and the matches seen are a prefix.
-uint64_t CountPairwiseIntersection(const CompressedPostingList& a,
-                                   const CompressedPostingList& b,
-                                   CostCounters* cost_a = nullptr,
-                                   CostCounters* cost_b = nullptr,
-                                   ScanGuard* guard = nullptr);
-uint64_t ScanPairwiseIntersection(const CompressedPostingList& a,
-                                  const CompressedPostingList& b,
-                                  CostCounters* cost_a, CostCounters* cost_b,
-                                  const std::function<void(DocId)>& on_match);
-/// Same scan, handing the matches over in ascending runs of up to
-/// kPairwiseBatch docids, so a caller's per-match work can be inlined into
-/// its own loop instead of paying one indirect call per match.
-inline constexpr size_t kPairwiseBatch = 256;
-uint64_t ScanPairwiseIntersectionBatches(
-    const CompressedPostingList& a, const CompressedPostingList& b,
-    CostCounters* cost_a, CostCounters* cost_b,
-    const std::function<void(std::span<const DocId>)>& on_batch,
-    ScanGuard* guard = nullptr);
-
-/// Outcome of JoinRunWithList: how many run docids the list holds, the
-/// sum of their tfs in the list (when asked for), and whether the guard
-/// tripped, in which case both counts are partial and must not be used.
-struct RunJoinResult {
-  uint64_t matches = 0;
-  uint64_t tf_sum = 0;
-  bool aborted = false;
-};
-
-/// The 2-way join of a strictly increasing docid run (a materialized
-/// context set) with one compressed list, by one forward walk over the
-/// list's blocks: each block is paired with the run docids inside its
-/// range, blocks none fall in are skipped undecoded, a bitmap block is
-/// probed by O(1) bit tests without expansion (unless `with_tf` needs
-/// positions or the window outnumbers the block), and any other block is
-/// decoded once and intersected by galloping the smaller side through the
-/// larger. Probes and decode bytes are charged to `cost`, and `guard`
-/// ticks by the join tick rule above (the run is S on a tie).
-RunJoinResult JoinRunWithList(std::span<const Posting> run,
-                              const CompressedPostingList& list, bool with_tf,
-                              CostCounters* cost, ScanGuard* guard);
-
-/// The same block walk as a semijoin: hands the run docids the list holds
-/// to `on_batch` in ascending runs of up to kPairwiseBatch, with the same
-/// cost charges and guard ticks. ContextSet::Build folds each predicate
-/// list after the first two into D_P with it.
-RunJoinResult SemiJoinRunWithList(
-    std::span<const DocId> run, const CompressedPostingList& list,
-    CostCounters* cost, ScanGuard* guard,
-    const std::function<void(std::span<const DocId>)>& on_batch);
-
-/// Counts the intersection of two compressed lists; exercised by tests
-/// and the codec ablation. Delegates to CountPairwiseIntersection.
-uint64_t CountCompressedIntersection(const CompressedPostingList& a,
-                                     const CompressedPostingList& b,
-                                     CostCounters* cost = nullptr);
 
 }  // namespace csr
 

@@ -1,209 +1,986 @@
 #include "index/intersection.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "index/simd_intersect.h"
 
 namespace csr {
 
-ConjunctionIterator::ConjunctionIterator(
-    std::span<const PostingList* const> lists, CostCounters* cost,
-    ScanGuard* guard)
-    : guard_(guard), granted_(guard == nullptr ? UINT64_MAX : 0) {
-  std::vector<PostingCursor> cursors;
-  cursors.reserve(lists.size());
-  for (const PostingList* l : lists) cursors.emplace_back(l, cost);
-  Init(std::move(cursors));
-}
-
-ConjunctionIterator::ConjunctionIterator(std::vector<PostingCursor> cursors,
-                                         ScanGuard* guard)
-    : guard_(guard), granted_(guard == nullptr ? UINT64_MAX : 0) {
-  Init(std::move(cursors));
-}
-
-void ConjunctionIterator::Init(std::vector<PostingCursor> cursors) {
-  if (cursors.empty()) {
-    at_end_ = true;
-    return;
-  }
-  for (const PostingCursor& c : cursors) {
-    if (!c.valid()) {
-      at_end_ = true;
-      return;
-    }
-  }
-  // Sort list order by length ascending so the shortest list drives.
-  std::vector<size_t> order(cursors.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return cursors[a].size() < cursors[b].size();
-  });
-  order_inverse_.resize(cursors.size());
-  iters_.reserve(cursors.size());
-  for (size_t k = 0; k < order.size(); ++k) {
-    iters_.push_back(std::move(cursors[order[k]]));
-    order_inverse_[order[k]] = k;
-  }
-  // Pick each probe cursor's advance strategy once, from its length ratio
-  // against the driver. Bitmap-heavy pairs report kBitmapAnd, which the
-  // k-way leapfrog can't exploit (that's the block-pairwise kernel's
-  // job) — treat it as gallop here.
-  strategy_.assign(iters_.size(), IntersectStrategy::kGallop);
-  if (iters_.size() > 1) {
-    for (size_t k = 0; k < iters_.size(); ++k) {
-      size_t other = k == 0 ? 1 : k;
-      strategy_[k] = ChooseIntersectStrategy(
-          iters_[0].size(), iters_[other].size(), false, false);
-      RecordLeapfrogChoice(strategy_[k] == IntersectStrategy::kMerge,
-                           iters_[0].size(), iters_[other].size());
-    }
-  }
-  FindNextMatch();
-}
-
-void ConjunctionIterator::AdvanceTo(size_t k, DocId target) {
-  if (strategy_[k] == IntersectStrategy::kMerge) {
-    iters_[k].MergeTo(target);
-  } else {
-    iters_[k].SkipTo(target);
-  }
-}
-
-void ConjunctionIterator::FindNextMatch() {
-  // Leapfrog: propose the driver's doc, skip every other list to it; on a
-  // miss, re-propose the larger doc. Each proposal takes one tick of the
-  // grant, counted in a local so the loop never stores through guard_.
-  if (first_) {
-    first_ = false;
-  } else {
-    iters_[0].Next();
-  }
-  uint64_t granted = granted_;
-  while (true) {
-    if (iters_[0].AtEnd()) {
-      at_end_ = true;
-      break;
-    }
-    if (granted == 0) {
-      granted = guard_->Grant();
-      if (granted == 0) {
-        at_end_ = true;
-        aborted_ = true;
-        break;
-      }
-    }
-    --granted;
-    DocId candidate = iters_[0].doc();
-    bool all_match = true;
-    for (size_t k = 1; k < iters_.size(); ++k) {
-      AdvanceTo(k, candidate);
-      if (iters_[k].AtEnd()) {
-        at_end_ = true;
-        break;
-      }
-      if (iters_[k].doc() != candidate) {
-        // Re-align the driver to the larger doc and restart.
-        AdvanceTo(0, iters_[k].doc());
-        all_match = false;
-        break;
-      }
-    }
-    if (at_end_) break;
-    if (all_match) {
-      current_doc_ = candidate;
-      break;
-    }
-  }
-  granted_ = granted;
-  if (at_end_) ReleaseGrant();
-}
-
-void ConjunctionIterator::ReleaseGrant() {
-  if (guard_ == nullptr) return;
-  guard_->Refund(granted_);
-  granted_ = 0;
-}
-
-void ConjunctionIterator::Next() { FindNextMatch(); }
-
 namespace {
 
-/// "merge*2+gallop*1" style roll-up of per-cursor strategy picks. Buckets
-/// follow the IntersectStrategy enum order.
-std::string FormatStrategyMix(const size_t counts[5]) {
-  static constexpr const char* kNames[5] = {"merge", "gallop", "bitmap",
-                                            "wideprobe", "simdgallop"};
-  std::string out;
-  for (size_t s = 0; s < 5; ++s) {
-    if (counts[s] == 0) continue;
-    if (!out.empty()) out += "+";
-    out += std::string(kNames[s]) + "*" + std::to_string(counts[s]);
+/// 64 bitmap bits starting at bit `bit_off`; bits past the bitmap's end
+/// read as zero. LSB of the result is bit `bit_off`.
+inline uint64_t BitmapWindow(const uint8_t* bits, size_t nbytes,
+                             uint64_t bit_off) {
+  const size_t byte = bit_off >> 3;
+  const unsigned sh = static_cast<unsigned>(bit_off & 7);
+  if (byte >= nbytes) return 0;
+  const size_t n = nbytes - byte;
+  uint64_t lo = 0;
+  uint8_t ex = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n >= 9) {
+      std::memcpy(&lo, bits + byte, 8);
+      ex = bits[byte + 8];
+    } else {
+      std::memcpy(&lo, bits + byte, std::min<size_t>(n, 8));
+    }
+  } else {
+    for (size_t k = 0; k < n && k < 8; ++k) {
+      lo |= static_cast<uint64_t>(bits[byte + k]) << (8 * k);
+    }
+    if (n >= 9) ex = bits[byte + 8];
   }
-  if (out.empty()) out = "none";
+  return sh == 0 ? lo
+                 : (lo >> sh) | (static_cast<uint64_t>(ex) << (64 - sh));
+}
+
+/// Charges n ticks exactly as ScanGuard::Charge does and returns how many
+/// were paid before a trip: n when none tripped, else the ticks charged
+/// before the tripping one. A join probes exactly its paid docids, so the
+/// matches it hands over after a trip are those of a docid prefix.
+uint64_t ChargePaid(ScanGuard* guard, uint64_t n) {
+  if (guard == nullptr) return n;
+  const uint64_t before = guard->ticks();
+  if (!guard->Charge(n)) return n;
+  const uint64_t charged = guard->ticks() - before;
+  return charged == 0 ? 0 : charged - 1;
+}
+
+/// One compressed side of a block kernel — the kernels' block decoder:
+/// walks the block directory forward, materializing per block either the
+/// bitmap view (zero-copy) or the decoded docid array — whichever the
+/// probes need — and charging the block's decode bytes to CostCounters
+/// exactly once however many probes land in it. Blocks load through
+/// CompressedPostingList::LoadDocs/LoadTfs, as iterator loads do: they
+/// consult the thread's DecodedBlockArena and count in blocks_decoded.
+/// A side may walk one list across many joins (the conjunction's
+/// windows), resuming at its current block.
+class PairwiseSide {
+ public:
+  PairwiseSide(const CompressedPostingList* list, CostCounters* cost)
+      : list_(list), cost_(cost) {}
+
+  const CompressedPostingList& list() const { return *list_; }
+  CostCounters* cost() const { return cost_; }
+  bool exhausted() const { return cur_ >= list_->num_blocks(); }
+  const CompressedPostingList::BlockMeta& meta() const {
+    return list_->blocks()[cur_];
+  }
+  size_t current_block() const { return cur_; }
+
+  void MoveTo(size_t next) {
+    cur_ = next;
+    tagged_ = false;
+    view_ok_ = false;
+    docs_ok_ = false;
+    tfs_ok_ = false;
+    charged_ = false;
+    pos_ = 0;
+  }
+
+  /// Advances the current block until meta().max_doc >= d (gallop +
+  /// binary search over the directory, skipped blocks never decoded).
+  bool SeekBlock(DocId d) {
+    auto blocks = list_->blocks();
+    if (cur_ >= blocks.size()) return false;
+    if (blocks[cur_].max_doc >= d) return true;
+    size_t bound = 1;
+    while (cur_ + bound < blocks.size() &&
+           blocks[cur_ + bound].max_doc < d) {
+      bound <<= 1;
+    }
+    size_t lo = cur_ + bound / 2 + 1;
+    size_t hi = std::min(cur_ + bound + 1, blocks.size());
+    auto it = std::lower_bound(
+        blocks.begin() + lo, blocks.begin() + hi, d,
+        [](const CompressedPostingList::BlockMeta& m, DocId t) {
+          return m.max_doc < t;
+        });
+    size_t next = static_cast<size_t>(it - blocks.begin());
+    if (cost_ != nullptr) {
+      cost_->skips_taken++;
+      if (next > cur_ + 1) cost_->blocks_skipped += next - cur_ - 1;
+    }
+    MoveTo(next);
+    return cur_ < blocks.size();
+  }
+
+  bool IsBitmap() {
+    if (!tagged_) {
+      tagged_ = true;
+      is_bitmap_ = list_->BlockCodecTag(cur_) == BlockCodec::kBitmap;
+    }
+    return is_bitmap_;
+  }
+
+  /// Zero-copy bitmap view of the current (bitmap) block.
+  const BitmapBlockCodec::View& View() {
+    if (!view_ok_) {
+      view_ok_ = true;
+      std::string_view raw = list_->BlockBytes(cur_);
+      auto v = BitmapBlockCodec::MakeView(raw.substr(1), meta().base);
+      // Self-built or checksum-verified bytes; a failure here means the
+      // in-memory image was corrupted. Poison to an empty view.
+      view_ = v.ok() ? v.value() : BitmapBlockCodec::View{};
+      ChargeOnce(1 + 5 + (static_cast<size_t>(view_.range) + 7) / 8);
+    }
+    return view_;
+  }
+
+  /// Decoded docids of the current block (any representation).
+  std::span<const DocId> Docs() {
+    if (!docs_ok_) {
+      docs_ok_ = true;
+      docs_ = list_->LoadDocs(cur_, own_docs_, &tf_offset_);
+      if (!docs_.empty()) ChargeOnce(1 + tf_offset_);
+    }
+    return docs_;
+  }
+
+  /// Decoded tfs of the current block, in docid order (after Docs()).
+  std::span<const uint32_t> Tfs() {
+    if (!tfs_ok_) {
+      tfs_ok_ = true;
+      tfs_ = list_->LoadTfs(cur_, tf_offset_, own_tfs_);
+      if (!tfs_.empty() && cost_ != nullptr) {
+        cost_->bytes_touched +=
+            list_->BlockBytes(cur_).size() - (1 + tf_offset_);
+      }
+    }
+    return tfs_;
+  }
+
+  size_t& pos() { return pos_; }
+
+  /// Membership probe for d in the current block; d must not exceed
+  /// meta().max_doc. Probes are monotone within a block, advancing an
+  /// internal cursor by linear (merge) or galloping steps.
+  bool Contains(DocId d, bool merge_probe) {
+    const auto& m = meta();
+    // In the gap before this block. Block 0 may legitimately start AT its
+    // base (docid 0, base 0); every later block's docs are strictly > base.
+    if (d < m.base || (d == m.base && cur_ != 0)) return false;
+    if (cost_ != nullptr) cost_->entries_scanned++;
+    if (IsBitmap()) return View().Test(d);
+    std::span<const DocId> docs = Docs();
+    if (merge_probe) {
+      while (pos_ < docs.size() && docs[pos_] < d) ++pos_;
+    } else {
+      size_t bound = 1;
+      while (pos_ + bound < docs.size() && docs[pos_ + bound] < d) {
+        bound <<= 1;
+      }
+      size_t lo = pos_ + bound / 2;
+      size_t hi = std::min(pos_ + bound + 1, docs.size());
+      pos_ = static_cast<size_t>(
+          std::lower_bound(docs.begin() + lo, docs.begin() + hi, d) -
+          docs.begin());
+    }
+    return pos_ < docs.size() && docs[pos_] == d;
+  }
+
+ private:
+  void ChargeOnce(size_t bytes) {
+    if (charged_ || cost_ == nullptr) return;
+    charged_ = true;
+    cost_->segments_touched++;
+    cost_->bytes_touched += bytes;
+  }
+
+  const CompressedPostingList* list_;
+  CostCounters* cost_;
+  size_t cur_ = 0;
+  bool tagged_ = false;
+  bool is_bitmap_ = false;
+  bool view_ok_ = false;
+  bool docs_ok_ = false;
+  bool tfs_ok_ = false;
+  bool charged_ = false;
+  BitmapBlockCodec::View view_;
+  // The current block's sections: views of own_* or of arena entries.
+  std::span<const DocId> docs_;
+  std::span<const uint32_t> tfs_;
+  std::vector<DocId> own_docs_;
+  std::vector<uint32_t> own_tfs_;
+  size_t tf_offset_ = 0;
+  size_t pos_ = 0;
+};
+
+/// The pairwise loop: for each driver block, windows of candidate docids
+/// are intersected against the probe side's blocks. Sink sees either
+/// whole 64-bit AND words (Word) or individual matches (Doc), always in
+/// increasing docid order.
+///
+/// Array×array windows dispatch to the SIMD kernel family
+/// (simd_intersect.h): the overlapping slices of both decoded blocks are
+/// handed to SimdIntersect, which picks pairwise-shuffle / wide-probe /
+/// SIMD-gallop from the window length ratio and the active dispatch
+/// level. Cost parity with the per-value probe loop is kept analytically:
+/// the probe side is charged one entries_scanned per driver value at or
+/// above the probe block's first possible docid — exactly what
+/// PairwiseSide::Contains charged, and independent of the dispatch level,
+/// so counters stay bit-identical under CSR_FORCE_SCALAR differentials.
+///
+/// A non-null `guard` is charged one tick per `drv` docid no greater than
+/// the probe list's last docid, block by block before the block is
+/// probed; the scan stops when it trips.
+
+///
+/// Array×array windows dispatch to the SIMD kernel family
+/// (simd_intersect.h): the overlapping slices of both decoded blocks are
+/// handed to SimdIntersect, which picks pairwise-shuffle / wide-probe /
+/// SIMD-gallop from the window length ratio and the active dispatch
+/// level. Cost parity with the per-value probe loop is kept analytically:
+/// the probe side is charged one entries_scanned per driver value at or
+/// above the probe block's first possible docid — exactly what
+/// PairwiseSide::Contains charged, and independent of the dispatch level,
+/// so counters stay bit-identical under CSR_FORCE_SCALAR differentials.
+///
+/// A non-null `guard` is charged one tick per driver docid no greater
+/// than the probe list's last docid, block by block before the block is
+/// probed; when it trips, the block's paid docids are probed and the scan
+/// stops.
+///
+/// Runs driver blocks [from, to) of side `a` against side `b`; both sides
+/// resume where an earlier call left them, so consecutive ranges walk the
+/// lists once. `matches` is kernel scratch. Returns false once no later
+/// driver block can match: the probe side is exhausted or the guard
+/// tripped.
+template <typename Sink>
+bool PairwiseBlocks(PairwiseSide& a, PairwiseSide& b, size_t from, size_t to,
+                    bool merge_probe, ScanGuard* guard,
+                    std::vector<DocId>& matches, Sink& sink) {
+  CostCounters* drv_cost = a.cost();
+  CostCounters* oth_cost = b.cost();
+  const DocId oth_last = b.list().blocks().back().max_doc;
+  for (size_t db = from; db < to; ++db) {
+    a.MoveTo(db);
+    const auto& m = a.meta();
+    DocId stop_at = kInvalidDocId;  // the last paid docid after a trip
+    if (guard != nullptr) {
+      uint64_t ticks = m.count;
+      if (m.max_doc > oth_last) {
+        std::span<const DocId> docs = a.Docs();
+        ticks = static_cast<uint64_t>(
+            std::upper_bound(docs.begin(), docs.end(), oth_last) -
+            docs.begin());
+      }
+      const uint64_t paid = ChargePaid(guard, ticks);
+      if (paid < ticks) {
+        if (paid == 0) return false;
+        stop_at = a.Docs()[paid - 1];
+      }
+    }
+    // Candidates live in [base, max_doc] for the very first block (docid
+    // 0 can equal base 0) and (base, max_doc] afterwards; after a trip,
+    // only up to the last paid docid.
+    const DocId max_doc = std::min(m.max_doc, stop_at);
+    uint64_t next_d = static_cast<uint64_t>(m.base) + (db == 0 ? 0 : 1);
+    bool drv_block_touched = false;
+    while (next_d <= max_doc) {
+      if (!b.SeekBlock(static_cast<DocId>(next_d))) return false;
+      const auto& om = b.meta();
+      if (om.base > max_doc) break;  // no probe docs within this block
+      const DocId hi = std::min(max_doc, om.max_doc);
+      if (a.IsBitmap() && b.IsBitmap()) {
+        const BitmapBlockCodec::View& va = a.View();
+        const BitmapBlockCodec::View& vb = b.View();
+        drv_block_touched = true;
+        const size_t na = (static_cast<size_t>(va.range) + 7) / 8;
+        const size_t nb = (static_cast<size_t>(vb.range) + 7) / 8;
+        uint64_t lo = std::max({next_d, static_cast<uint64_t>(va.first),
+                                static_cast<uint64_t>(vb.first)});
+        for (uint64_t chunk = lo; chunk <= hi; chunk += 64) {
+          uint64_t w = BitmapWindow(va.bits, na, chunk - va.first) &
+                       BitmapWindow(vb.bits, nb, chunk - vb.first);
+          const uint64_t span = hi - chunk;  // inclusive span minus one
+          if (span < 63) w &= (1ull << (span + 1)) - 1;
+          if (w != 0) sink.Word(static_cast<DocId>(chunk), w);
+        }
+        if (oth_cost != nullptr) {
+          oth_cost->entries_scanned += (hi - lo) / 64 + 1;
+        }
+      } else if (b.IsBitmap()) {
+        std::span<const DocId> docs = a.Docs();
+        drv_block_touched = true;
+        size_t& pos = a.pos();
+        while (pos < docs.size() && docs[pos] < next_d) ++pos;
+        for (; pos < docs.size() && docs[pos] <= hi; ++pos) {
+          if (b.Contains(docs[pos], merge_probe)) sink.Doc(docs[pos]);
+        }
+        if (pos >= docs.size()) break;  // driver block exhausted
+        if (docs[pos] > hi) {
+          // Gallop straight to the next driver candidate: SeekBlock can
+          // then leap candidate-free probe blocks (charged to
+          // blocks_skipped) instead of walking them one by one.
+          next_d = docs[pos];
+          continue;
+        }
+      } else {
+        std::span<const DocId> docs = a.Docs();
+        drv_block_touched = true;
+        size_t& pos = a.pos();
+        while (pos < docs.size() && docs[pos] < next_d) ++pos;
+        // Driver window: candidates in [next_d, hi].
+        const size_t wend = static_cast<size_t>(
+            std::upper_bound(docs.begin() + pos, docs.end(), hi) -
+            docs.begin());
+        if (wend > pos) {
+          // Values below the probe block's first possible docid sit in the
+          // inter-block gap; Contains never charged (or decoded) for them.
+          // Block 0 may start AT its base, later blocks strictly above it.
+          const DocId min_in =
+              om.base + (b.current_block() == 0 ? 0 : 1);
+          const size_t in_from = static_cast<size_t>(
+              std::lower_bound(docs.begin() + pos, docs.begin() + wend,
+                               min_in) -
+              docs.begin());
+          if (in_from < wend) {
+            if (oth_cost != nullptr) {
+              oth_cost->entries_scanned += wend - in_from;
+            }
+            std::span<const DocId> bdocs = b.Docs();
+            size_t& bpos = b.pos();
+            const size_t bstart = static_cast<size_t>(
+                std::lower_bound(bdocs.begin() + bpos, bdocs.end(),
+                                 docs[in_from]) -
+                bdocs.begin());
+            const size_t bend = static_cast<size_t>(
+                std::upper_bound(bdocs.begin() + bstart, bdocs.end(), hi) -
+                bdocs.begin());
+            if (bend > bstart) {
+              matches.resize(std::min(wend - in_from, bend - bstart));
+              const size_t nm = SimdIntersect(
+                  docs.data() + in_from, wend - in_from,
+                  bdocs.data() + bstart, bend - bstart, matches.data());
+              for (size_t k = 0; k < nm; ++k) sink.Doc(matches[k]);
+            }
+            // All docids <= hi in this probe block are consumed; future
+            // probes (same block, later windows) are strictly above hi.
+            bpos = bend;
+          }
+        }
+        a.pos() = wend;
+        if (wend >= docs.size()) break;  // driver block exhausted
+        if (docs[wend] > hi) {
+          // Gallop straight to the next driver candidate: SeekBlock can
+          // then leap candidate-free probe blocks (charged to
+          // blocks_skipped) instead of walking them one by one.
+          next_d = docs[wend];
+          continue;
+        }
+      }
+      if (hi >= max_doc) break;
+      next_d = static_cast<uint64_t>(hi) + 1;
+    }
+    if (!drv_block_touched && drv_cost != nullptr) {
+      drv_cost->blocks_skipped++;  // bypassed without decoding
+    }
+    if (b.exhausted() || stop_at != kInvalidDocId) return false;
+  }
+  return true;
+}
+
+struct CountSink {
+  uint64_t n = 0;
+  void Doc(DocId) { ++n; }
+  void Word(DocId, uint64_t w) { n += static_cast<uint64_t>(std::popcount(w)); }
+};
+
+struct BatchSink {
+  explicit BatchSink(const std::function<void(std::span<const DocId>)>* f)
+      : fn(f) {}
+  const std::function<void(std::span<const DocId>)>* fn;
+  std::array<DocId, kPairwiseBatch> buf;
+  size_t len = 0;
+  uint64_t n = 0;
+  void Doc(DocId d) {
+    buf[len++] = d;
+    if (len == buf.size()) Flush();
+  }
+  void Word(DocId first, uint64_t w) {
+    while (w != 0) {
+      unsigned bit = static_cast<unsigned>(std::countr_zero(w));
+      Doc(first + bit);
+      w &= w - 1;
+    }
+  }
+  void Flush() {
+    if (len == 0) return;
+    n += len;
+    (*fn)(std::span<const DocId>(buf.data(), len));
+    len = 0;
+  }
+};
+
+/// Appends every match to a vector.
+struct VectorSink {
+  std::vector<DocId>* out;
+  void Doc(DocId d) { out->push_back(d); }
+  void Word(DocId first, uint64_t w) {
+    for (; w != 0; w &= w - 1) {
+      out->push_back(first + static_cast<DocId>(std::countr_zero(w)));
+    }
+  }
+};
+
+bool PairwiseMergeProbe(const CompressedPostingList& drv,
+                        const CompressedPostingList& oth) {
+  return ChooseIntersectStrategy(drv.size(), oth.size(),
+                                 drv.has_bitmap_blocks(),
+                                 oth.has_bitmap_blocks()) ==
+         IntersectStrategy::kMerge;
+}
+
+inline DocId DocOf(const Posting& p) { return p.doc; }
+inline DocId DocOf(DocId d) { return d; }
+
+/// The first index in [from, run.size()) whose docid exceeds `d`, by
+/// galloping then binary search.
+template <typename Run>
+size_t RunUpperBound(std::span<const Run> run, size_t from, DocId d) {
+  size_t bound = 1;
+  while (from + bound < run.size() && DocOf(run[from + bound]) <= d) {
+    bound <<= 1;
+  }
+  auto it = std::upper_bound(
+      run.begin() + from + bound / 2,
+      run.begin() + std::min(from + bound, run.size()), d,
+      [](DocId v, const Run& p) { return v < DocOf(p); });
+  return static_cast<size_t>(it - run.begin());
+}
+
+/// Counts the docids `window` and `docs` share (both sorted, strictly
+/// increasing), calling on_match(j) for each shared docs[j] when
+/// `positions` is set. Comparable sizes merge, branch-free when only the
+/// count is needed; a side 8x shorter gallops through the longer.
+template <typename Run, typename OnMatch>
+uint64_t MatchWindow(std::span<const Run> window,
+                     std::span<const DocId> docs, bool positions,
+                     OnMatch&& on_match) {
+  uint64_t n = 0;
+  const size_t nw = window.size();
+  const size_t nd = docs.size();
+  if (nw * 8 < nd || nd * 8 < nw) {
+    const bool window_short = nw < nd;
+    size_t a = 0;  // cursor in the longer side
+    const size_t long_n = window_short ? nd : nw;
+    auto long_doc = [&](size_t k) {
+      return window_short ? docs[k] : DocOf(window[k]);
+    };
+    for (size_t k = 0; k < (window_short ? nw : nd); ++k) {
+      const DocId d = window_short ? DocOf(window[k]) : docs[k];
+      size_t bound = 1;
+      while (a + bound < long_n && long_doc(a + bound) < d) bound <<= 1;
+      size_t lo = a + bound / 2;
+      size_t hi = std::min(a + bound + 1, long_n);
+      while (lo < hi) {
+        size_t mid = lo + (hi - lo) / 2;
+        if (long_doc(mid) < d) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      a = lo;
+      if (a == long_n) break;
+      if (long_doc(a) == d) {
+        ++n;
+        if (positions) on_match(window_short ? a : k);
+      }
+    }
+    return n;
+  }
+  size_t a = 0;
+  size_t b = 0;
+  if (!positions) {
+    while (a < nw && b < nd) {
+      const DocId x = DocOf(window[a]);
+      const DocId y = docs[b];
+      n += x == y;
+      a += x <= y;
+      b += y <= x;
+    }
+    return n;
+  }
+  while (a < nw && b < nd) {
+    const DocId x = DocOf(window[a]);
+    const DocId y = docs[b];
+    if (x == y) {
+      ++n;
+      on_match(b);
+      ++a;
+      ++b;
+    } else if (x < y) {
+      ++a;
+    } else {
+      ++b;
+    }
+  }
+  return n;
+}
+
+/// What a run-with-list block walk reports per match: nothing (a count),
+/// the match's index in the decoded block (to read its tf), or its docid.
+enum class JoinOut { kCount, kTf, kDocs };
+
+/// The block walk behind JoinRunWithList and SemiJoinRunWithList. For
+/// kTf and kDocs, calls on_match(side, doc, j) for every run docid the
+/// list holds, in increasing order; j is the docid's index in
+/// side.Docs(), except on bitmap probes (kCount and kDocs only), which
+/// pass 0. Guard ticks follow the join tick rule (intersection.h). The
+/// side may resume where an earlier walk left it only when the run
+/// drives, as it always does inside a Conjunction.
+template <JoinOut kOut, typename Run, typename OnMatch>
+RunJoinResult JoinRunImpl(std::span<const Run> run, PairwiseSide& side,
+                          ScanGuard* guard, OnMatch&& on_match) {
+  const CompressedPostingList& list = side.list();
+  CostCounters* cost = side.cost();
+  RunJoinResult out;
+  if (run.empty() || list.empty()) return out;
+  const auto blocks = list.blocks();
+  const bool run_drives = run.size() <= list.size();
+  const DocId run_last = DocOf(run.back());
+  auto charge = [&](uint64_t n) {
+    if (guard == nullptr || !guard->Charge(n)) return false;
+    out.aborted = true;
+    return true;
+  };
+  // When the list drives, every one of its postings up to run_last ticks:
+  // blocks before `ticked` are charged as the walk passes them.
+  size_t ticked = 0;
+  auto charge_blocks_before = [&](size_t b) {
+    uint64_t n = 0;
+    for (; ticked < b; ++ticked) n += blocks[ticked].count;
+    return charge(n);
+  };
+  size_t i = 0;
+  while (i < run.size()) {
+    if (!side.SeekBlock(DocOf(run[i]))) {
+      // The rest of the run lies past the list, whose unticked postings
+      // all precede run_last.
+      if (!run_drives) charge_blocks_before(blocks.size());
+      break;
+    }
+    const size_t b = side.current_block();
+    const auto& meta = side.meta();
+    const size_t end = RunUpperBound(run, i, meta.max_doc);
+    std::span<const Run> window = run.subspan(i, end - i);
+    i = end;
+    if (run_drives) {
+      // After a trip, the window's paid docids are still probed.
+      const uint64_t paid = ChargePaid(guard, window.size());
+      if (paid < window.size()) {
+        out.aborted = true;
+        if (paid == 0) return out;
+        window = window.first(paid);
+        i = run.size();
+      }
+    } else {
+      // Passed blocks hold no run docid, so a trip there probes nothing.
+      if (charge_blocks_before(b)) return out;
+      ticked = b + 1;
+      uint64_t n = meta.count;
+      if (meta.max_doc > run_last) {
+        std::span<const DocId> docs = side.Docs();
+        n = static_cast<uint64_t>(
+            std::upper_bound(docs.begin(), docs.end(), run_last) -
+            docs.begin());
+      }
+      const uint64_t paid = ChargePaid(guard, n);
+      if (paid < n) {
+        out.aborted = true;
+        if (paid == 0) return out;
+        // Probe the run docids up to the block's last paid posting.
+        window = window.first(
+            RunUpperBound(window, 0, side.Docs()[paid - 1]));
+        i = run.size();
+      }
+    }
+    if (cost != nullptr) cost->entries_scanned += window.size();
+    if (kOut != JoinOut::kTf && side.IsBitmap() &&
+        window.size() <= 2 * meta.count) {
+      const BitmapBlockCodec::View& view = side.View();
+      for (const Run& p : window) {
+        const bool hit = view.Test(DocOf(p));
+        out.matches += hit;
+        if constexpr (kOut == JoinOut::kDocs) {
+          if (hit) on_match(side, DocOf(p), 0);
+        }
+      }
+    } else {
+      std::span<const DocId> docs = side.Docs();
+      if (cost != nullptr) cost->entries_scanned += docs.size();
+      out.matches +=
+          MatchWindow(window, docs, kOut != JoinOut::kCount,
+                      [&](size_t j) { on_match(side, docs[j], j); });
+    }
+  }
   return out;
+}
+
+/// The first index in [from, v.size()) whose docid is >= d, by galloping
+/// from `from` then binary search; adds the docids compared to *probes.
+template <typename T>
+size_t GallopLowerBound(std::span<const T> v, size_t from, DocId d,
+                        uint64_t* probes) {
+  ++*probes;
+  if (from >= v.size() || DocOf(v[from]) >= d) return from;
+  size_t bound = 1;  // v[from + bound / 2] < d
+  while (from + bound < v.size() && DocOf(v[from + bound]) < d) {
+    bound <<= 1;
+    ++*probes;
+  }
+  size_t lo = from + bound / 2 + 1;
+  size_t hi = std::min(from + bound, v.size());
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    ++*probes;
+    if (DocOf(v[mid]) < d) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// The plain-list form of the join tick rule: each docid of `drv` up to
+/// `oth`'s last docid is galloped to in `oth` from position `j` on, and
+/// the guard is charged for up to one segment of such docids
+/// (PostingList::kDefaultSegmentSize) before they are probed. Calls
+/// on_match(i, j) for every drv[i] == oth[j], in increasing order; after
+/// a trip, the paid docids are still probed and the join stops. `j` is
+/// left where a later, higher `drv` may resume. Returns the entries read
+/// on both sides (entries_scanned): each `drv` docid probed, and each
+/// docid of `oth` compared with one.
+template <typename Drv, typename Oth, typename OnMatch>
+uint64_t SearchJoin(std::span<const Drv> drv, std::span<const Oth> oth,
+                    ScanGuard* guard, size_t& j, OnMatch&& on_match) {
+  uint64_t probes = 0;
+  if (drv.empty() || oth.empty()) return probes;
+  const DocId oth_last = DocOf(oth.back());
+  const size_t n = static_cast<size_t>(
+      std::upper_bound(drv.begin(), drv.end(), oth_last,
+                       [](DocId v, const Drv& p) { return v < DocOf(p); }) -
+      drv.begin());
+  constexpr size_t kChunk = PostingList::kDefaultSegmentSize;
+  for (size_t from = 0; from < n; from += kChunk) {
+    const size_t chunk = std::min(n - from, kChunk);
+    const size_t paid = ChargePaid(guard, chunk);
+    probes += paid;
+    for (size_t i = from; i < from + paid; ++i) {
+      const DocId d = DocOf(drv[i]);
+      j = GallopLowerBound(oth, j, d, &probes);
+      if (DocOf(oth[j]) == d) on_match(i, j);
+    }
+    if (paid < chunk) break;
+  }
+  return probes;
 }
 
 }  // namespace
 
-std::string ConjunctionIterator::StrategyMix() const {
-  // strategy_[0] describes the driver's own re-alignment advances; probe
-  // cursors are 1..n-1. Count both the same way the advances happen.
-  size_t counts[5] = {};
-  for (IntersectStrategy s : strategy_) counts[static_cast<size_t>(s)]++;
-  return FormatStrategyMix(counts);
+uint64_t CountPairwiseIntersection(const CompressedPostingList& a,
+                                   const CompressedPostingList& b,
+                                   CostCounters* cost_a, CostCounters* cost_b,
+                                   ScanGuard* guard) {
+  const PostingRef lists[] = {{nullptr, &a, cost_a}, {nullptr, &b, cost_b}};
+  return Conjunction(lists, guard).Count();
 }
 
-std::vector<DocId> IntersectAll(std::span<const PostingList* const> lists,
-                                CostCounters* cost) {
-  std::vector<DocId> out;
-  for (ConjunctionIterator it(lists, cost); !it.AtEnd(); it.Next()) {
-    out.push_back(it.doc());
+uint64_t ScanPairwiseIntersection(const CompressedPostingList& a,
+                                  const CompressedPostingList& b,
+                                  CostCounters* cost_a, CostCounters* cost_b,
+                                  const std::function<void(DocId)>& on_match) {
+  return ScanPairwiseIntersectionBatches(
+      a, b, cost_a, cost_b, [&on_match](std::span<const DocId> docs) {
+        for (DocId d : docs) on_match(d);
+      });
+}
+
+uint64_t ScanPairwiseIntersectionBatches(
+    const CompressedPostingList& a, const CompressedPostingList& b,
+    CostCounters* cost_a, CostCounters* cost_b,
+    const std::function<void(std::span<const DocId>)>& on_batch,
+    ScanGuard* guard) {
+  const PostingRef lists[] = {{nullptr, &a, cost_a}, {nullptr, &b, cost_b}};
+  Conjunction conj(lists, guard);
+  uint64_t n = 0;
+  for (std::vector<DocId> docs; conj.Next(docs); docs.clear()) {
+    for (size_t i = 0; i < docs.size(); i += kPairwiseBatch) {
+      on_batch(std::span<const DocId>(docs).subspan(
+          i, std::min(kPairwiseBatch, docs.size() - i)));
+    }
+    n += docs.size();
   }
+  return n;
+}
+
+RunJoinResult JoinRunWithList(std::span<const Posting> run,
+                              const CompressedPostingList& list, bool with_tf,
+                              CostCounters* cost, ScanGuard* guard) {
+  PairwiseSide side(&list, cost);
+  if (!with_tf) {
+    return JoinRunImpl<JoinOut::kCount>(run, side, guard,
+                                        [](PairwiseSide&, DocId, size_t) {});
+  }
+  uint64_t tf_sum = 0;
+  RunJoinResult out = JoinRunImpl<JoinOut::kTf>(
+      run, side, guard, [&tf_sum](PairwiseSide& s, DocId, size_t j) {
+        std::span<const uint32_t> tfs = s.Tfs();
+        if (j < tfs.size()) tf_sum += tfs[j];
+      });
+  out.tf_sum = tf_sum;
   return out;
+}
+
+RunJoinResult SemiJoinRunWithList(
+    std::span<const DocId> run, const CompressedPostingList& list,
+    CostCounters* cost, ScanGuard* guard,
+    const std::function<void(std::span<const DocId>)>& on_batch) {
+  PairwiseSide side(&list, cost);
+  BatchSink sink(&on_batch);
+  RunJoinResult out = JoinRunImpl<JoinOut::kDocs>(
+      run, side, guard,
+      [&sink](PairwiseSide&, DocId d, size_t) { sink.Doc(d); });
+  sink.Flush();
+  return out;
+}
+
+uint64_t CountCompressedIntersection(const CompressedPostingList& a,
+                                     const CompressedPostingList& b,
+                                     CostCounters* cost) {
+  return CountPairwiseIntersection(a, b, cost, cost);
+}
+
+// -- Conjunction ------------------------------------------------------------
+
+struct Conjunction::List {
+  explicit List(const PostingRef& r)
+      : ref(r), side(r.packed, r.cost), tf_side(r.packed, r.cost) {}
+
+  DocId last() const {
+    return ref.plain != nullptr ? ref.plain->postings().back().doc
+                                : ref.packed->blocks().back().max_doc;
+  }
+
+  PostingRef ref;
+  PairwiseSide side;     // compressed: the joins' block cursor
+  PairwiseSide tf_side;  // compressed: Tfs's block cursor
+  size_t pos = 0;        // plain: where the next join's search starts
+  size_t tf_pos = 0;     // plain: where the next Tfs search starts
+};
+
+Conjunction::Conjunction(std::span<const PostingRef> lists,
+                         ScanGuard* guard)
+    : guard_(guard) {
+  done_ = lists.empty() || std::any_of(lists.begin(), lists.end(),
+                                       [](const PostingRef& l) {
+                                         return l.size() == 0;
+                                       });
+  if (done_) return;
+  std::vector<size_t> order(lists.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return lists[a].size() < lists[b].size();
+  });
+  lists_.reserve(lists.size());
+  caller_.resize(lists.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    lists_.emplace_back(lists[order[k]]);
+    caller_[order[k]] = k;
+  }
+  if (lists_.size() >= 2) {
+    second_last_ = lists_[1].last();
+    if (lists_[0].ref.packed != nullptr && lists_[1].ref.packed != nullptr) {
+      merge_probe_ =
+          PairwiseMergeProbe(*lists_[0].ref.packed, *lists_[1].ref.packed);
+    }
+  }
+}
+
+Conjunction::~Conjunction() = default;
+
+template <typename Run, typename Sink>
+void Conjunction::Join(std::span<const Run> run, List& list, ScanGuard* guard,
+                       Sink& sink) {
+  if (list.ref.packed != nullptr) {
+    if constexpr (std::is_same_v<Sink, CountSink>) {
+      sink.n += JoinRunImpl<JoinOut::kCount>(
+                    run, list.side, guard,
+                    [](PairwiseSide&, DocId, size_t) {})
+                    .matches;
+    } else {
+      JoinRunImpl<JoinOut::kDocs>(
+          run, list.side, guard,
+          [&sink](PairwiseSide&, DocId d, size_t) { sink.Doc(d); });
+    }
+    return;
+  }
+  const uint64_t probes =
+      SearchJoin(run, list.ref.plain->postings(), guard, list.pos,
+                 [&](size_t i, size_t) { sink.Doc(DocOf(run[i])); });
+  if (list.ref.cost != nullptr) list.ref.cost->entries_scanned += probes;
+}
+
+template <typename Sink>
+void Conjunction::FirstStep(Sink& sink) {
+  List& drv = lists_[0];
+  const bool alone = lists_.size() == 1;
+  if (drv.ref.plain != nullptr) {
+    const std::span<const Posting> postings = drv.ref.plain->postings();
+    const size_t from = next_;
+    next_ = std::min(postings.size(), from + kWindow);
+    done_ = next_ == postings.size() ||
+            (!alone && postings[next_].doc > second_last_);
+    if (!alone) {
+      Join(postings.subspan(from, next_ - from), lists_[1], guard_, sink);
+      return;
+    }
+    scratch_.clear();
+    for (size_t i = from; i < next_; ++i) scratch_.push_back(postings[i].doc);
+  } else {
+    const CompressedPostingList& list = *drv.ref.packed;
+    const size_t from = next_;
+    next_ = std::min(list.num_blocks(),
+                     from + std::max<size_t>(1, kWindow / list.block_size()));
+    // Every docid of a later block exceeds its base.
+    done_ = next_ == list.num_blocks() ||
+            (!alone && list.blocks()[next_].base >= second_last_);
+    if (!alone && lists_[1].ref.packed != nullptr) {
+      if (!PairwiseBlocks(drv.side, lists_[1].side, from, next_, merge_probe_,
+                          guard_, scratch_, sink)) {
+        done_ = true;
+      }
+      return;
+    }
+    scratch_.clear();
+    for (size_t b = from; b < next_; ++b) {
+      drv.side.MoveTo(b);
+      std::span<const DocId> docs = drv.side.Docs();
+      scratch_.insert(scratch_.end(), docs.begin(), docs.end());
+    }
+  }
+  const std::span<const DocId> window = scratch_;
+  if (!alone) {
+    Join(window, lists_[1], guard_, sink);
+    return;
+  }
+  // One list is its own conjunction: walk it, one tick per posting, a
+  // segment's worth at a time.
+  if (drv.ref.cost != nullptr) drv.ref.cost->entries_scanned += window.size();
+  for (size_t from = 0; from < window.size();
+       from += PostingList::kDefaultSegmentSize) {
+    const size_t n = std::min(window.size() - from,
+                              size_t{PostingList::kDefaultSegmentSize});
+    const size_t paid = ChargePaid(guard_, n);
+    for (size_t i = from; i < from + paid; ++i) sink.Doc(window[i]);
+    if (paid < n) return;
+  }
+}
+
+template <typename Sink>
+bool Conjunction::Window(Sink& sink) {
+  if (done_) return false;
+  if (lists_.size() <= 2) {
+    FirstStep(sink);
+  } else {
+    run_.clear();
+    VectorSink to_run{&run_};
+    FirstStep(to_run);
+    // The later steps tick nothing: each run docid is a paid docid of the
+    // shortest list, so they finish the window even after a trip.
+    for (size_t s = 2; s < lists_.size() && !run_.empty(); ++s) {
+      if (s + 1 == lists_.size()) {
+        Join(std::span<const DocId>(run_), lists_[s], nullptr, sink);
+        break;
+      }
+      next_run_.clear();
+      VectorSink to_next{&next_run_};
+      Join(std::span<const DocId>(run_), lists_[s], nullptr, to_next);
+      run_.swap(next_run_);
+    }
+  }
+  if (guard_ != nullptr && guard_->tripped()) {
+    aborted_ = true;
+    done_ = true;
+  }
+  return true;
+}
+
+bool Conjunction::Next(std::vector<DocId>& out) {
+  VectorSink sink{&out};
+  return Window(sink);
+}
+
+uint64_t Conjunction::Count() {
+  CountSink sink;
+  while (Window(sink)) {
+  }
+  return sink.n;
+}
+
+void Conjunction::Tfs(size_t i, std::span<const DocId> docs, uint32_t* out,
+                      size_t stride) {
+  List& list = lists_[caller_[i]];
+  if (list.ref.plain != nullptr) {
+    const std::span<const Posting> postings = list.ref.plain->postings();
+    uint64_t probes = 0;  // a tf read, not a join: charged nothing
+    for (size_t j = 0; j < docs.size(); ++j) {
+      list.tf_pos = GallopLowerBound(postings, list.tf_pos, docs[j], &probes);
+      out[j * stride] =
+          list.tf_pos < postings.size() ? postings[list.tf_pos].tf : 0;
+    }
+    return;
+  }
+  PairwiseSide& side = list.tf_side;
+  for (size_t j = 0; j < docs.size(); ++j) {
+    if (!side.SeekBlock(docs[j])) {
+      out[j * stride] = 0;  // not a survivor: past the list
+      continue;
+    }
+    std::span<const DocId> block = side.Docs();
+    size_t& pos = side.pos();
+    pos = static_cast<size_t>(
+        std::lower_bound(block.begin() + pos, block.end(), docs[j]) -
+        block.begin());
+    std::span<const uint32_t> tfs = side.Tfs();
+    out[j * stride] = pos < tfs.size() ? tfs[pos] : 0;
+  }
+}
+
+std::string ConjunctionPlan(size_t num_lists) {
+  if (num_lists <= 1) return "walk";
+  std::string plan = "pairwise";
+  if (num_lists > 2) plan += "+semijoin*" + std::to_string(num_lists - 2);
+  return plan;
+}
+
+uint64_t CountIntersection(std::span<const PostingRef> lists,
+                           ScanGuard* guard) {
+  return Conjunction(lists, guard).Count();
 }
 
 uint64_t CountIntersection(std::span<const PostingList* const> lists,
                            CostCounters* cost) {
-  uint64_t n = 0;
-  for (ConjunctionIterator it(lists, cost); !it.AtEnd(); it.Next()) ++n;
-  return n;
-}
-
-bool PairwiseEligible(const std::vector<PostingCursor>& cursors) {
-  return cursors.size() == 2 && cursors[0].valid() && cursors[1].valid() &&
-         cursors[0].packed_source() != nullptr &&
-         cursors[1].packed_source() != nullptr;
+  std::vector<PostingRef> refs;
+  for (const PostingList* l : lists) refs.push_back({l, nullptr, cost});
+  return CountIntersection(refs);
 }
 
 uint64_t CountIntersection(std::vector<PostingCursor> cursors,
                            ScanGuard* guard) {
-  if (PairwiseEligible(cursors)) {
-    return CountPairwiseIntersection(
-        *cursors[0].packed_source(), *cursors[1].packed_source(),
-        cursors[0].cost(), cursors[1].cost(), guard);
-  }
-  uint64_t n = 0;
-  for (ConjunctionIterator it(std::move(cursors), guard); !it.AtEnd();
-       it.Next()) {
-    ++n;
-  }
-  return n;
-}
-
-AggregationResult IntersectAndAggregate(
-    std::span<const PostingList* const> lists,
-    std::span<const uint32_t> doc_lengths, CostCounters* cost,
-    ScanGuard* guard) {
-  AggregationResult agg;
-  for (ConjunctionIterator it(lists, cost, guard); !it.AtEnd(); it.Next()) {
-    agg.count++;
-    agg.sum_len += doc_lengths[it.doc()];
-    if (cost != nullptr) cost->aggregation_entries++;
-  }
-  return agg;
+  std::vector<PostingRef> refs;
+  for (const PostingCursor& c : cursors) refs.push_back(c.ref());
+  return CountIntersection(refs, guard);
 }
 
 void AttrIntersectionCostDelta(TraceSpan* span, const CostCounters& after,

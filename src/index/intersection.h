@@ -3,11 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "index/codec.h"
 #include "index/cost_model.h"
 #include "index/posting_cursor.h"
 #include "index/posting_list.h"
@@ -17,118 +18,172 @@
 
 namespace csr {
 
-/// k-way conjunction over posting cursors using skip-based leapfrog joins
-/// with galloping SkipTo. Lists are visited most-selective (shortest)
-/// first, so the driver list bounds the number of probes — the
-/// optimization the paper relies on for conventional query evaluation
-/// (Section 3.2.2). Cursors type-erase the posting representation, so a
-/// conjunction can mix uncompressed PostingLists and block-compressed
-/// CompressedPostingLists freely; guard ticks and cost counters are
-/// charged identically either way.
+// -- Block kernels ----------------------------------------------------------
+
+/// Block-wise pairwise intersection of two compressed lists — the first
+/// step of a Conjunction over them, which these entry points run. Drives
+/// with the shorter list; bitmap blocks are consumed via word-wise AND (both
+/// sides bitmap) or O(1) membership probes (one side bitmap), array
+/// blocks are SIMD-decoded once per block and probed by galloping or
+/// linear merge steps per ChooseIntersectStrategy. Blocks whose range
+/// cannot overlap the other list are skipped without decoding, and decode
+/// bytes are charged to CostCounters exactly once per block touched.
+/// Matches arrive in increasing docid order.
 ///
-/// Usage:
-///   ConjunctionIterator it(lists, &cost);
-///   for (; !it.AtEnd(); it.Next()) {
-///     DocId d = it.doc();
-///     uint32_t tf0 = it.tf(0);   // tf in lists[0] (caller order)
-///   }
-class ConjunctionIterator {
- public:
-  /// `lists` must be non-empty; null or empty lists yield an immediately
-  /// exhausted iterator. An optional `guard` is charged one tick per
-  /// candidate advance, counted down locally from ScanGuard::Grant and
-  /// refunded when the iterator ends or dies; when it trips (deadline,
-  /// budget, or injected fault), the iterator stops early and reports
-  /// aborted().
-  ConjunctionIterator(std::span<const PostingList* const> lists,
-                      CostCounters* cost = nullptr,
-                      ScanGuard* guard = nullptr);
+/// Join tick rule, shared by every join here: a join of a shorter side S
+/// with a longer side L (S = the first side, or the run, on a tie) ticks
+/// `guard` once per docid of S no greater than L's last docid, charged
+/// with ScanGuard::Charge block by block (or segment by segment) before
+/// the block is probed. The count depends on the docids alone, so a
+/// budget or an armed fault trips at the same tick whichever
+/// representation backs either side. After a trip the docids of S whose
+/// ticks were paid are still probed and the scan stops (guard->tripped()),
+/// so the matches seen are those of a docid prefix of S.
+uint64_t CountPairwiseIntersection(const CompressedPostingList& a,
+                                   const CompressedPostingList& b,
+                                   CostCounters* cost_a = nullptr,
+                                   CostCounters* cost_b = nullptr,
+                                   ScanGuard* guard = nullptr);
+uint64_t ScanPairwiseIntersection(const CompressedPostingList& a,
+                                  const CompressedPostingList& b,
+                                  CostCounters* cost_a, CostCounters* cost_b,
+                                  const std::function<void(DocId)>& on_match);
+/// Same scan, handing the matches over in ascending runs of up to
+/// kPairwiseBatch docids, so a caller's per-match work can be inlined into
+/// its own loop instead of paying one indirect call per match.
+inline constexpr size_t kPairwiseBatch = 256;
+uint64_t ScanPairwiseIntersectionBatches(
+    const CompressedPostingList& a, const CompressedPostingList& b,
+    CostCounters* cost_a, CostCounters* cost_b,
+    const std::function<void(std::span<const DocId>)>& on_batch,
+    ScanGuard* guard = nullptr);
 
-  /// Cursor form: cost counters are already bound inside each cursor. Any
-  /// invalid cursor (missing term) yields an exhausted iterator.
-  explicit ConjunctionIterator(std::vector<PostingCursor> cursors,
-                               ScanGuard* guard = nullptr);
-
-  ~ConjunctionIterator() { ReleaseGrant(); }
-  ConjunctionIterator(const ConjunctionIterator&) = delete;
-  ConjunctionIterator& operator=(const ConjunctionIterator&) = delete;
-
-  bool AtEnd() const { return at_end_; }
-  DocId doc() const { return current_doc_; }
-
-  /// True when iteration stopped because the guard tripped rather than
-  /// because the conjunction was exhausted.
-  bool aborted() const { return aborted_; }
-
-  /// tf of the current doc in the i-th list (in the caller's list order).
-  uint32_t tf(size_t i) const { return iters_[order_inverse_[i]].tf(); }
-
-  size_t num_lists() const { return iters_.size(); }
-
-  /// Human-readable summary of the cost-model advance strategies picked at
-  /// Init (ChooseIntersectStrategy per probe cursor against the driver),
-  /// e.g. "gallop*2+merge*1" or "simdgallop*1+wideprobe*1". Trace/telemetry
-  /// helper, not a hot-path API.
-  std::string StrategyMix() const;
-
-  /// Advances to the next document present in every list.
-  void Next();
-
- private:
-  void Init(std::vector<PostingCursor> cursors);
-  void FindNextMatch();
-  void AdvanceTo(size_t k, DocId target);
-  void ReleaseGrant();
-
-  std::vector<PostingCursor> iters_;   // sorted by list length
-  std::vector<size_t> order_inverse_;  // caller index -> iters_ index
-  // Per-cursor advance strategy (ChooseIntersectStrategy vs the driver):
-  // linear MergeTo for kMerge, galloping SkipTo for every other pick (the
-  // SIMD kernel strategies need decoded windows, which only the block
-  // kernels have — here they just name how skewed the pair is).
-  std::vector<IntersectStrategy> strategy_;
-  ScanGuard* guard_ = nullptr;
-  // Ticks left of the guard's current grant (UINT64_MAX with no guard).
-  uint64_t granted_ = 0;
-  DocId current_doc_ = kInvalidDocId;
-  bool at_end_ = false;
-  bool aborted_ = false;
-  bool first_ = true;
+/// Outcome of JoinRunWithList: how many run docids the list holds, the
+/// sum of their tfs in the list (when asked for), and whether the guard
+/// tripped, in which case both counts are partial and must not be used.
+struct RunJoinResult {
+  uint64_t matches = 0;
+  uint64_t tf_sum = 0;
+  bool aborted = false;
 };
 
-/// Materializes the docids of the intersection of all lists.
-std::vector<DocId> IntersectAll(std::span<const PostingList* const> lists,
-                                CostCounters* cost = nullptr);
+/// The 2-way join of a strictly increasing docid run (a materialized
+/// context set) with one compressed list, by one forward walk over the
+/// list's blocks: each block is paired with the run docids inside its
+/// range, blocks none fall in are skipped undecoded, a bitmap block is
+/// probed by O(1) bit tests without expansion (unless `with_tf` needs
+/// positions or the window outnumbers the block), and any other block is
+/// decoded once and intersected by galloping the smaller side through the
+/// larger. Probes and decode bytes are charged to `cost`, and `guard`
+/// ticks by the join tick rule above (the run is S on a tie).
+RunJoinResult JoinRunWithList(std::span<const Posting> run,
+                              const CompressedPostingList& list, bool with_tf,
+                              CostCounters* cost, ScanGuard* guard);
 
-/// Returns |∩ lists| without materializing the result. The cursor form
-/// runs PairwiseEligible conjunctions on the block-pairwise kernel and
-/// the rest on a ConjunctionIterator; either charges `guard`.
+/// The compressed block walk as a semijoin: hands the run docids the list
+/// holds to `on_batch` in ascending runs of up to kPairwiseBatch, with the
+/// same cost charges and guard ticks.
+RunJoinResult SemiJoinRunWithList(
+    std::span<const DocId> run, const CompressedPostingList& list,
+    CostCounters* cost, ScanGuard* guard,
+    const std::function<void(std::span<const DocId>)>& on_batch);
+
+/// Counts the intersection of two compressed lists; exercised by tests
+/// and the codec ablation. Delegates to CountPairwiseIntersection.
+uint64_t CountCompressedIntersection(const CompressedPostingList& a,
+                                     const CompressedPostingList& b,
+                                     CostCounters* cost = nullptr);
+
+// -- The conjunction engine ---------------------------------------------------
+
+/// ∩ of posting lists in any mix of representations, run as one chain of
+/// the joins above — the one conjunction engine every plan uses: the D_P
+/// build (∩γ of Figure 3), query-time df of untracked keywords, context
+/// sizes, and retrieval's keyword ⋈ context conjunction (Section 3.2.2).
+///
+/// The lists are taken shortest first (ties in caller order). The two
+/// shortest join pairwise — the block-pairwise kernel when both are
+/// compressed, else a block walk or a galloping search join with the
+/// shorter as the run — and the result then semijoins each further list in
+/// ascending length. The chain runs in windows of the shortest list (its
+/// next kWindow postings, whole blocks when it is compressed); each window
+/// runs the whole chain, and every list resumes where the last window
+/// left it, so survivors arrive in ascending docid order and memory stays
+/// bounded by the window.
+///
+/// Ticks pay for candidates, one per docid of the shortest list: the
+/// pairwise step ticks by the join tick rule (once per such docid no
+/// greater than the second list's last docid; a single list ticks once
+/// per posting), and the later steps tick nothing, since every docid they
+/// see is a paid candidate. The count depends on the docids alone, never
+/// on representation or window bounds. When the guard trips, the window
+/// still joins its paid candidates through every step and the chain
+/// stops: the survivors handed over are exactly the answer's docids up to
+/// the last paid candidate — a docid prefix of the answer.
+class Conjunction {
+ public:
+  /// Postings of the shortest list per window.
+  static constexpr size_t kWindow = 1024;
+
+  /// `lists` in caller order; any empty list makes the conjunction empty.
+  /// The lists must outlive the conjunction.
+  explicit Conjunction(std::span<const PostingRef> lists,
+                       ScanGuard* guard = nullptr);
+  ~Conjunction();
+  Conjunction(const Conjunction&) = delete;
+  Conjunction& operator=(const Conjunction&) = delete;
+
+  /// Runs the chain over the next window and appends its survivors to
+  /// `out`, ascending. False when no window was left to run.
+  bool Next(std::vector<DocId>& out);
+
+  /// Runs every window left and returns how many survivors they hold.
+  uint64_t Count();
+
+  /// Writes to out[j * stride] the tf, in caller-order list `i`, of
+  /// docs[j] for each j. `docs` must be survivors handed over by Next,
+  /// ascending, and past any docid of an earlier call for the same list.
+  /// Only blocks holding one of them are decoded.
+  void Tfs(size_t i, std::span<const DocId> docs, uint32_t* out,
+           size_t stride = 1);
+
+  /// True once the guard tripped: the survivors handed over are a prefix.
+  bool aborted() const { return aborted_; }
+
+ private:
+  struct List;
+  template <typename Sink>
+  bool Window(Sink& sink);
+  template <typename Sink>
+  void FirstStep(Sink& sink);
+  template <typename Run, typename Sink>
+  void Join(std::span<const Run> run, List& list, ScanGuard* guard,
+            Sink& sink);
+
+  std::vector<List> lists_;     // shortest first
+  std::vector<size_t> caller_;  // caller index -> lists_ index
+  ScanGuard* guard_;
+  size_t next_ = 0;         // the shortest list's next posting (or block)
+  DocId second_last_ = 0;   // the second list's last docid
+  bool merge_probe_ = false;  // pairwise kernel probe style
+  bool done_ = false;
+  bool aborted_ = false;
+  // Intermediate runs, and the driver's decoded window or kernel scratch.
+  std::vector<DocId> run_, next_run_, scratch_;
+};
+
+/// The chain a Conjunction over `num_lists` lists runs, for traces:
+/// "walk", "pairwise", or "pairwise+semijoin*N".
+std::string ConjunctionPlan(size_t num_lists);
+
+/// |∩ lists| by the conjunction engine.
+uint64_t CountIntersection(std::span<const PostingRef> lists,
+                           ScanGuard* guard = nullptr);
+/// The same over plain lists (charging `cost`) or over cursors' lists.
 uint64_t CountIntersection(std::span<const PostingList* const> lists,
                            CostCounters* cost = nullptr);
 uint64_t CountIntersection(std::vector<PostingCursor> cursors,
                            ScanGuard* guard = nullptr);
-
-/// Result of the combined "intersection with aggregation" operator (∩γ in
-/// Figure 3): the context cardinality and the SUM over a per-document
-/// parameter (document length) of the intersection.
-struct AggregationResult {
-  uint64_t count = 0;     // |D_P| : γ_count
-  uint64_t sum_len = 0;   // len(D_P) : γ_sum over doc lengths
-};
-
-/// Computes γ_count and γ_sum(len) over the intersection of `lists`.
-/// `doc_lengths[d]` is the length of document d. The aggregation scans every
-/// element of the intersection (cost(γ(P)) = |∩ L_mi|), which is charged to
-/// cost->aggregation_entries.
-AggregationResult IntersectAndAggregate(
-    std::span<const PostingList* const> lists,
-    std::span<const uint32_t> doc_lengths, CostCounters* cost = nullptr,
-    ScanGuard* guard = nullptr);
-
-/// True when a conjunction over `cursors` runs on the block-pairwise
-/// kernel (codec.h): exactly two valid compressed cursors. A guard does
-/// not change the choice; the kernel charges it by the join tick rule.
-bool PairwiseEligible(const std::vector<PostingCursor>& cursors);
 
 /// Copies the intersection-relevant cost-counter deltas accumulated since
 /// `before` onto `span` as attributes (entries_scanned, segments_touched,

@@ -83,6 +83,13 @@ class InvertedIndex {
     return PostingCursor(list(t), cost);
   }
 
+  /// Term t's list for the conjunction engine, charging `cost`; size() 0
+  /// when the term is absent. Unlike cursor(), decodes nothing.
+  PostingRef ref(TermId t, CostCounters* cost = nullptr) const {
+    if (compacted_) return PostingRef{nullptr, clist(t), cost};
+    return PostingRef{list(t), nullptr, cost};
+  }
+
   size_t num_terms() const {
     return compacted_ ? clists_.size() : lists_.size();
   }

@@ -12,14 +12,27 @@
 
 namespace csr {
 
-/// A type-erased forward cursor over either posting representation —
-/// uncompressed PostingList or block-compressed CompressedPostingList —
-/// with the shared iterator contract (AtEnd/doc/tf/Next/SkipTo) plus the
-/// block-max probe WAND pruning needs. ConjunctionIterator and the engine
-/// serve exclusively through this type, so cost AND guard accounting are
-/// identical whichever representation backs a term: the guard ticks once
-/// per candidate advance in the conjunction regardless of codec (the
-/// historical bug was compressed lists bypassing ScanGuard entirely).
+/// A posting list in either representation — uncompressed PostingList or
+/// block-compressed CompressedPostingList — with the cost counters a scan
+/// of it charges: what the conjunction engine (intersection.h) joins. It
+/// holds no scan state, so making one decodes nothing. size() is 0 for a
+/// missing term.
+struct PostingRef {
+  const PostingList* plain = nullptr;
+  const CompressedPostingList* packed = nullptr;
+  CostCounters* cost = nullptr;
+
+  size_t size() const {
+    return plain != nullptr    ? plain->size()
+           : packed != nullptr ? packed->size()
+                               : 0;
+  }
+};
+
+/// A type-erased forward cursor over either posting representation with
+/// the shared iterator contract (AtEnd/doc/tf/Next/SkipTo) plus the
+/// block-max probe WAND pruning needs, so cost accounting is identical
+/// whichever representation backs a term.
 ///
 /// A default-constructed cursor is invalid (missing term); valid() must be
 /// checked before iterating. Cursors are single-pass: create a fresh one
@@ -97,11 +110,13 @@ class PostingCursor {
   }
 
   /// The compressed list backing this cursor, or nullptr when the term is
-  /// plain/missing. The block-pairwise kernel keys off this.
+  /// plain/missing.
   const CompressedPostingList* packed_source() const { return packed_src_; }
   /// The uncompressed list backing this cursor, or nullptr.
   const PostingList* plain_source() const { return plain_src_; }
   CostCounters* cost() const { return cost_; }
+  /// The list behind the cursor, for the conjunction engine.
+  PostingRef ref() const { return PostingRef{plain_src_, packed_src_, cost_}; }
 
  private:
   // Exactly one iterator engaged for a valid cursor; the source pointers

@@ -11,14 +11,13 @@
 
 namespace csr {
 
-/// Per-query resource guard charged on every posting-list conjunction
-/// advance: one Tick() at a time, n at a time (Charge), or through grants
-/// a scan counts down locally (Grant/Refund) — all three charge the same
-/// ticks. Bounds the work of a single query by a wall-clock deadline and
-/// a posting-scan budget, and carries the kPostingAdvance fault-injection
-/// point so tests can force a mid-scan media failure. A tripped guard makes
-/// every subsequent Tick() return true, so all iterators sharing the guard
-/// stop promptly; the query layer then degrades the plan (or fails with a
+/// Per-query resource guard charged by every posting-list join: one Tick()
+/// at a time, or n at a time (Charge) — both charge the same ticks. Bounds
+/// the work of a single query by a wall-clock deadline and a posting-scan
+/// budget, and carries the kPostingAdvance fault-injection point so tests
+/// can force a mid-scan media failure. A tripped guard makes every
+/// subsequent Tick() return true, so all joins sharing the guard stop
+/// promptly; the query layer then degrades the plan (or fails with a
 /// typed status) instead of scanning unboundedly.
 class ScanGuard {
  public:
@@ -90,29 +89,6 @@ class ScanGuard {
     return false;
   }
 
-  /// Grants the caller ticks to count itself, one per advance, without
-  /// touching the guard; returns how many (0 when the guard has tripped,
-  /// and the scan must stop). A grant ends just before the guard's next
-  /// event — the budget edge, a deadline poll, or, while any fault is
-  /// armed, every tick — or, when that next tick is itself the event,
-  /// runs it through Tick() and grants that one tick. Granted ticks are
-  /// charged at once; the holder hands the unused rest back with Refund
-  /// before anything reads ticks() or draws from the guard again, so
-  /// ticks(), trips, polls, and fault hits match one Tick() per advance.
-  /// A guard serves one grant holder at a time.
-  uint64_t Grant() {
-    if (trip_ != Trip::kNone) return 0;
-    const uint64_t quiet = QuietTicks();
-    if (quiet > 0) {
-      ticks_ += quiet;
-      return quiet;
-    }
-    return Tick() ? 0 : 1;
-  }
-
-  /// Returns `unused` ticks of the last Grant().
-  void Refund(uint64_t unused) { ticks_ -= unused; }
-
   bool tripped() const { return trip_ != Trip::kNone; }
   Trip trip() const { return trip_; }
   uint64_t ticks() const { return ticks_; }
@@ -151,8 +127,8 @@ class ScanGuard {
   }
 
  private:
-  /// Longest grant when nothing bounds the scan; far below any overflow.
-  static constexpr uint64_t kMaxGrant = uint64_t{1} << 40;
+  /// Longest quiet run when nothing bounds the scan; far below overflow.
+  static constexpr uint64_t kMaxQuiet = uint64_t{1} << 40;
 
   /// How many ticks after the current one Tick() would only count: none
   /// while a fault is armed (each hit must reach the injector), else up
@@ -160,7 +136,7 @@ class ScanGuard {
   /// poll (ticks 1, 65, 129, ...).
   uint64_t QuietTicks() const {
     if (FaultsArmed()) return 0;
-    uint64_t quiet = kMaxGrant;
+    uint64_t quiet = kMaxQuiet;
     if (budget_ != 0) quiet = std::min(quiet, budget_ - ticks_);
     if (deadline_ms_ > 0) {
       // The first t > ticks_ with t % 64 == 1 (unsigned wrap makes it 1

@@ -15,8 +15,8 @@ namespace csr {
 /// of the document collection covering the contiguous global docid range
 /// [base, base + num_docs), indexed by its own content and predicate
 /// inverted indexes. Docids inside the segment's indexes are LOCAL —
-/// [0, num_docs) — so every existing read path (PostingCursor,
-/// ConjunctionIterator, Block-Max WAND, the SIMD decode kernels, the cost
+/// [0, num_docs) — so every existing read path (PostingCursor, the
+/// conjunction engine, Block-Max WAND, the SIMD decode kernels, the cost
 /// model) applies to a segment unchanged; callers add `base` when they
 /// need the global id.
 ///

@@ -343,8 +343,6 @@ __attribute__((target("avx2"))) size_t Avx2Gallop(const uint32_t* rare,
 // ---------------------------------------------------------------------------
 
 std::atomic<uint64_t> g_kernel_calls[3] = {};
-std::atomic<uint64_t> g_leapfrog_merge{0};
-std::atomic<uint64_t> g_leapfrog_gallop{0};
 std::atomic<uint64_t> g_ratio_hist[kIntersectRatioBuckets] = {};
 
 inline void RecordRatio(uint64_t rare_len, uint64_t freq_len) {
@@ -427,21 +425,11 @@ size_t SimdIntersect(const uint32_t* a, size_t na, const uint32_t* b,
                           nfreq, out);
 }
 
-void RecordLeapfrogChoice(bool merge, uint64_t driver_len,
-                          uint64_t probe_len) {
-  (merge ? g_leapfrog_merge : g_leapfrog_gallop)
-      .fetch_add(1, std::memory_order_relaxed);
-  RecordRatio(driver_len == 0 ? 1 : driver_len,
-              std::max(driver_len, probe_len));
-}
-
 IntersectTallies SnapshotIntersectTallies() {
   IntersectTallies t;
   t.pairwise = g_kernel_calls[0].load(std::memory_order_relaxed);
   t.wide_probe = g_kernel_calls[1].load(std::memory_order_relaxed);
   t.gallop = g_kernel_calls[2].load(std::memory_order_relaxed);
-  t.leapfrog_merge = g_leapfrog_merge.load(std::memory_order_relaxed);
-  t.leapfrog_gallop = g_leapfrog_gallop.load(std::memory_order_relaxed);
   for (size_t i = 0; i < kIntersectRatioBuckets; ++i) {
     t.ratio_hist[i] = g_ratio_hist[i].load(std::memory_order_relaxed);
   }
@@ -450,8 +438,6 @@ IntersectTallies SnapshotIntersectTallies() {
 
 void ResetIntersectTalliesForTest() {
   for (auto& c : g_kernel_calls) c.store(0, std::memory_order_relaxed);
-  g_leapfrog_merge.store(0, std::memory_order_relaxed);
-  g_leapfrog_gallop.store(0, std::memory_order_relaxed);
   for (auto& c : g_ratio_hist) c.store(0, std::memory_order_relaxed);
 }
 

@@ -94,22 +94,13 @@ struct IntersectTallies {
   uint64_t pairwise = 0;
   uint64_t wide_probe = 0;
   uint64_t gallop = 0;
-  /// Per-probe-cursor advance strategies picked by ConjunctionIterator
-  /// (guarded k-way leapfrog — strategies, not array kernels).
-  uint64_t leapfrog_merge = 0;
-  uint64_t leapfrog_gallop = 0;
-  /// log2 histogram of the selected freq/rare length ratios, both kernel
-  /// and leapfrog selections: bucket i counts ratios in [2^i, 2^(i+1)),
-  /// the last bucket everything >= 2^15.
+  /// log2 histogram of the selected freq/rare length ratios: bucket i
+  /// counts ratios in [2^i, 2^(i+1)), the last bucket everything >= 2^15.
   uint64_t ratio_hist[kIntersectRatioBuckets] = {};
 };
 
 IntersectTallies SnapshotIntersectTallies();
 void ResetIntersectTalliesForTest();
-
-/// Records a leapfrog strategy selection (called by ConjunctionIterator::
-/// Init once per probe cursor; merge = MergeTo advances, else SkipTo).
-void RecordLeapfrogChoice(bool merge, uint64_t driver_len, uint64_t probe_len);
 
 }  // namespace csr
 

@@ -12,14 +12,10 @@ namespace csr {
 
 SupportFn MakeIndexSupportFn(const InvertedIndex& predicate_index) {
   return [&predicate_index](const TermIdSet& itemset) -> uint64_t {
-    std::vector<PostingCursor> cursors;
-    cursors.reserve(itemset.size());
-    for (TermId m : itemset) {
-      PostingCursor c = predicate_index.cursor(m);
-      if (!c.valid()) return 0;
-      cursors.push_back(std::move(c));
-    }
-    return CountIntersection(std::move(cursors));
+    std::vector<PostingRef> lists;
+    lists.reserve(itemset.size());
+    for (TermId m : itemset) lists.push_back(predicate_index.ref(m));
+    return CountIntersection(lists);
   };
 }
 

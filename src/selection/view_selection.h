@@ -23,8 +23,8 @@ struct SelectionThresholds {
   uint64_t view_size_threshold = 4096;
 };
 
-/// A SupportFn backed by predicate inverted-list intersection with skip
-/// pointers — ContextSize(P) = |∩ L_mi| computed the cheap way.
+/// A SupportFn backed by the conjunction engine over the predicate lists
+/// — ContextSize(P) = |∩ L_mi| computed the cheap way.
 SupportFn MakeIndexSupportFn(const InvertedIndex& predicate_index);
 
 /// Wraps a ViewSizeFn with memoization. Algorithm 1 probes the same

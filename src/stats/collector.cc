@@ -41,14 +41,8 @@ CollectionStats StraightforwardCollectionStats(
     CostCounters before;
     if (tracing) {
       before = *cost;
-      // The joins ContextSet::Build runs: a walk of one list, else the
-      // pairwise join of the two shortest and one semijoin per further one.
-      std::string strategy = context.size() == 1 ? "walk" : "pairwise";
-      if (context.size() > 2) {
-        strategy += "+semijoin*" + std::to_string(context.size() - 2);
-      }
       span.Attr("lists", static_cast<uint64_t>(context.size()));
-      span.Attr("strategy", strategy);
+      span.Attr("strategy", ConjunctionPlan(context.size()));
     }
     set = ContextSet::Build(content_index, predicate_index, context, cost,
                             years, range, guard);
@@ -91,25 +85,26 @@ KeywordCounts CountKeywordInContext(
     const InvertedIndex& content_index, const InvertedIndex& predicate_index,
     std::span<const TermId> context, TermId keyword, bool with_tc,
     CostCounters* cost, std::span<const uint16_t> years, YearRange range,
-    ScanGuard* guard, std::string* strategy) {
+    ScanGuard* guard) {
+  std::vector<PostingRef> lists = {content_index.ref(keyword, cost)};
+  for (TermId m : context) lists.push_back(predicate_index.ref(m, cost));
+  Conjunction conj(lists, guard);
   KeywordCounts counts;
-  std::vector<PostingCursor> cursors;
-  cursors.reserve(context.size() + 1);
-  cursors.push_back(content_index.cursor(keyword, cost));
-  if (!cursors.back().valid()) return counts;
-  for (TermId m : context) {
-    cursors.push_back(predicate_index.cursor(m, cost));
-    if (!cursors.back().valid()) return counts;
-  }
-  ConjunctionIterator it(std::move(cursors), guard);
-  if (strategy != nullptr) *strategy = it.StrategyMix();
-  for (; !it.AtEnd(); it.Next()) {
-    DocId d = it.doc();
-    if (range.active() && !(d < years.size() && range.Contains(years[d]))) {
-      continue;
+  std::vector<DocId> docs;
+  std::vector<uint32_t> tfs;
+  while (conj.Next(docs)) {
+    if (range.active()) {
+      std::erase_if(docs, [&](DocId d) {
+        return !(d < years.size() && range.Contains(years[d]));
+      });
     }
-    ++counts.df;
-    if (with_tc) counts.tc += it.tf(0);  // tf in L_w (caller order index 0)
+    counts.df += docs.size();
+    if (with_tc) {
+      tfs.resize(docs.size());
+      conj.Tfs(0, docs, tfs.data());  // L_w is caller list 0
+      for (uint32_t tf : tfs) counts.tc += tf;
+    }
+    docs.clear();
   }
   return counts;
 }

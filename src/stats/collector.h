@@ -56,17 +56,17 @@ CollectionStats StraightforwardCollectionStats(
     ContextSet* set_out = nullptr);
 
 /// df(w, D_P) and (when `with_tc`) tc(w, D_P) of one keyword over one
-/// part by one (m+1)-way join of L_w with the context's predicate lists,
-/// under the year filter of `years`/`range` — no ContextSet is built. The
-/// view plans use it for keywords without a parameter column, whose short
-/// lists make driving with L_w cheaper than materializing D_P. When
-/// `strategy` is non-null and the join ran, it receives the join's
-/// strategy mix (tracing only).
+/// part by one (m+1)-way Conjunction of L_w with the context's predicate
+/// lists, under the year filter of `years`/`range` — no ContextSet is
+/// built. The view plans use it for keywords without a parameter column,
+/// whose short lists make driving with L_w cheaper than materializing
+/// D_P. df counts the chain's year-filtered survivors; tc reads their tfs
+/// in L_w, decoding only L_w blocks that hold one.
 KeywordCounts CountKeywordInContext(
     const InvertedIndex& content_index, const InvertedIndex& predicate_index,
     std::span<const TermId> context, TermId keyword, bool with_tc,
     CostCounters* cost, std::span<const uint16_t> years, YearRange range,
-    ScanGuard* guard, std::string* strategy = nullptr);
+    ScanGuard* guard);
 
 }  // namespace csr
 

@@ -31,23 +31,20 @@ struct KeywordCounts {
 /// re-joining the m predicate lists.
 ///
 /// The docids are stored as a plain PostingList with tf = 1, so the set
-/// opens through the ordinary PostingCursor and ConjunctionIterator (skip
-/// tables, galloping SkipTo, cost counters, guard ticks) with no third
-/// cursor kind. A set is per query and never cached: it lives in the
-/// PreparedSearch that built it.
+/// joins in the conjunction engine (index/intersection.h) as one more
+/// plain list, with no third representation. A set is per query and never
+/// cached: it lives in the PreparedSearch that built it.
 class ContextSet {
  public:
   /// An empty, complete set (an unsatisfiable context).
   ContextSet() = default;
 
-  /// Builds D_P over one part with block kernels, guarded or not: a walk
-  /// of the list for one predicate; for m >= 2, the pairwise join of the
-  /// two shortest lists (the block-pairwise kernel when both are
-  /// compressed), then a semijoin of the running result with each further
-  /// list in ascending length (SemiJoinRunWithList over a compressed list,
-  /// a gallop over a plain one). `guard` ticks once per posting of a
-  /// walked list, and by the join tick rule (index/codec.h) in each join,
-  /// so every representation charges the same ticks. γ_count and
+  /// Builds D_P over one part with the conjunction engine (a Conjunction
+  /// over the predicate lists: a walk of one list; for m >= 2, the
+  /// pairwise join of the two shortest, then a semijoin with each further
+  /// list in ascending length), guarded or not. `guard` ticks by the
+  /// engine's rule (index/intersection.h), so every representation
+  /// charges the same ticks. γ_count and
   /// γ_sum(len) are taken on the way, and each member is charged to
   /// cost->aggregation_entries. `context` must be sorted; an empty context
   /// or a missing predicate list yields an empty set. `years[d]` gives
@@ -76,13 +73,17 @@ class ContextSet {
   PostingCursor cursor(CostCounters* cost) const {
     return PostingCursor(&docs_, cost);
   }
+  /// The members as a list for the conjunction engine, charged to `cost`.
+  PostingRef ref(CostCounters* cost) const {
+    return PostingRef{&docs_, nullptr, cost};
+  }
 
   /// df and (when `with_tc`) tc of the keyword behind `keyword` within the
   /// set, by one 2-way join charged to the keyword cursor's cost counters:
-  /// a block walk over a compressed list (JoinRunWithList), a search of
-  /// each docid of the shorter side in the longer over a plain one. Either
-  /// way `guard` ticks by the join tick rule (index/codec.h); after a trip
-  /// the counts are partial. When `strategy` is non-null it receives which
+  /// a block walk over a compressed list (JoinRunWithList), a two-list
+  /// Conjunction (a search join) over a plain one. Either way `guard`
+  /// ticks by the join tick rule (index/intersection.h); after a trip the
+  /// counts are partial. When `strategy` is non-null it receives which
   /// side drove (tracing only).
   KeywordCounts IntersectWith(PostingCursor keyword, bool with_tc,
                               ScanGuard* guard = nullptr,

@@ -566,6 +566,102 @@ TEST(DecodedBlockArenaTest, CountsHitsAndMissesExactly) {
   EXPECT_EQ(arena.entries(), b.num_blocks());
 }
 
+/// What the three block kernels yield and charge over lists a and b: the
+/// pairwise scan, the run-with-list join (tfs summed) and the semijoin of
+/// every other docid of b with a.
+struct KernelRuns {
+  std::vector<DocId> pairwise, semijoin;
+  RunJoinResult join;
+  CostCounters cost_a, cost_b;
+};
+
+KernelRuns RunKernels(const CompressedPostingList& a,
+                      const CompressedPostingList& b) {
+  KernelRuns r;
+  ScanPairwiseIntersectionBatches(
+      a, b, &r.cost_a, &r.cost_b, [&](std::span<const DocId> docs) {
+        r.pairwise.insert(r.pairwise.end(), docs.begin(), docs.end());
+      });
+  std::vector<Posting> run;
+  std::vector<DocId> run_docs;
+  const std::vector<Posting> bs = b.Decode();
+  for (size_t i = 0; i < bs.size(); i += 2) {
+    run.push_back(bs[i]);
+    run_docs.push_back(bs[i].doc);
+  }
+  r.join = JoinRunWithList(run, a, /*with_tf=*/true, &r.cost_a, nullptr);
+  SemiJoinRunWithList(run_docs, a, &r.cost_a, nullptr,
+                      [&](std::span<const DocId> docs) {
+                        r.semijoin.insert(r.semijoin.end(), docs.begin(),
+                                          docs.end());
+                      });
+  return r;
+}
+
+void ExpectSameRuns(const KernelRuns& got, const KernelRuns& want) {
+  EXPECT_EQ(got.pairwise, want.pairwise);
+  EXPECT_EQ(got.semijoin, want.semijoin);
+  EXPECT_EQ(got.join.matches, want.join.matches);
+  EXPECT_EQ(got.join.tf_sum, want.join.tf_sum);
+  for (auto [g, w] : {std::pair{&got.cost_a, &want.cost_a},
+                      std::pair{&got.cost_b, &want.cost_b}}) {
+    EXPECT_EQ(g->entries_scanned, w->entries_scanned);
+    EXPECT_EQ(g->segments_touched, w->segments_touched);
+    EXPECT_EQ(g->bytes_touched, w->bytes_touched);
+    EXPECT_EQ(g->skips_taken, w->skips_taken);
+    EXPECT_EQ(g->blocks_skipped, w->blocks_skipped);
+  }
+}
+
+// The block kernels load blocks through the thread's arena as iterators
+// do: a run that fills the arena and a run served from it both match a
+// private run, matches, tf sums and cost counters alike.
+TEST(DecodedBlockArenaTest, KernelsMatchWithAndWithoutAnArena) {
+  SplitMix64 rng(93);
+  for (CodecPolicy pa : kArenaPolicies) {
+    for (CodecPolicy pb : kArenaPolicies) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(pa)) + " x " +
+                   std::to_string(static_cast<int>(pb)));
+      const CompressedPostingList a = ArenaList(pa, 91);
+      const CompressedPostingList b = CompressedPostingList::FromPostings(
+          MakeRandomPostings(rng, 300, 1, 9, 9), 128, pb);
+      const KernelRuns want = RunKernels(a, b);
+      ASSERT_FALSE(want.pairwise.empty());
+      DecodedBlockArena arena;
+      DecodedBlockArena::Scope scope(&arena);
+      ExpectSameRuns(RunKernels(a, b), want);
+      ExpectSameRuns(RunKernels(a, b), want);
+      if (pa != CodecPolicy::kBitmapPreferred) {
+        EXPECT_GT(arena.hits(), 0u);  // bitmap blocks probe unexpanded
+      }
+    }
+  }
+}
+
+// DecodeTallies::blocks_decoded counts every kernel decode, as it counts
+// iterator decodes: a private pairwise run decodes D blocks; the same run
+// under an arena misses exactly those D and decodes them once; a second
+// run is served entirely from the arena and decodes nothing.
+TEST(DecodedBlockArenaTest, BlocksDecodedCountsKernelDecodes) {
+  const CompressedPostingList a = ArenaList(CodecPolicy::kForOnly, 94);
+  const CompressedPostingList b = ArenaList(CodecPolicy::kForOnly, 95);
+  auto decoded = [] { return SnapshotDecodeTallies().blocks_decoded; };
+  uint64_t d0 = decoded();
+  const uint64_t n = CountPairwiseIntersection(a, b);
+  const uint64_t private_blocks = decoded() - d0;
+  EXPECT_EQ(private_blocks, a.num_blocks() + b.num_blocks());
+  DecodedBlockArena arena;
+  DecodedBlockArena::Scope scope(&arena);
+  d0 = decoded();
+  EXPECT_EQ(CountPairwiseIntersection(a, b), n);
+  EXPECT_EQ(decoded() - d0, private_blocks);
+  EXPECT_EQ(arena.misses(), private_blocks);
+  d0 = decoded();
+  EXPECT_EQ(CountPairwiseIntersection(a, b), n);
+  EXPECT_EQ(decoded() - d0, 0u);
+  EXPECT_EQ(arena.hits(), private_blocks);
+}
+
 #if defined(__SANITIZE_ADDRESS__)
 #define CSR_TEST_ASAN 1
 #elif defined(__has_feature)

@@ -28,6 +28,14 @@
 namespace csr {
 namespace {
 
+/// A query-worker pool of `threads` workers and a queue of `capacity`.
+ExecutorConfig PoolConfig(uint32_t threads, size_t capacity) {
+  ExecutorConfig cfg;
+  cfg.num_threads = threads;
+  cfg.queue_capacity = capacity;
+  return cfg;
+}
+
 Corpus SmallCorpus(uint32_t docs = 3000, uint64_t seed = 77) {
   CorpusConfig cfg;
   cfg.num_docs = docs;
@@ -120,7 +128,7 @@ TEST_F(ConcurrencyDifferentialTest, BatchMatchesSequentialAcrossThreads) {
       sequential.push_back(engine_->Search(q, mode));
     }
     for (uint32_t threads : {1u, 2u, 8u}) {
-      QueryExecutor executor(engine_, {threads, 64});
+      QueryExecutor executor(engine_, PoolConfig(threads, 64));
       std::vector<Result<SearchResult>> batch =
           executor.SearchBatch(queries, mode);
       ASSERT_EQ(batch.size(), sequential.size());
@@ -136,7 +144,7 @@ TEST_F(ConcurrencyDifferentialTest, BatchMatchesSequentialAcrossThreads) {
 
 TEST_F(ConcurrencyDifferentialTest, BatchPreservesInputOrder) {
   std::vector<ContextQuery> queries = FixedWorkload(*engine_, 24);
-  QueryExecutor executor(engine_, {4, 8});
+  QueryExecutor executor(engine_, PoolConfig(4, 8));
   std::vector<Result<SearchResult>> batch =
       executor.SearchBatch(queries, EvaluationMode::kContextWithViews);
   ASSERT_EQ(batch.size(), queries.size());
@@ -173,7 +181,7 @@ TEST(ConcurrencyDegradationTest, DegradationReasonsIdenticalUnderThreads) {
                              "differential would be vacuous";
 
   for (uint32_t threads : {2u, 8u}) {
-    QueryExecutor executor(engine.get(), {threads, 64});
+    QueryExecutor executor(engine.get(), PoolConfig(threads, 64));
     std::vector<Result<SearchResult>> batch =
         executor.SearchBatch(queries, EvaluationMode::kContextStraightforward);
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -193,7 +201,7 @@ TEST(ConcurrencyStressTest, TinyCacheEvictionChurn) {
 
   constexpr size_t kQueries = 480;
   std::vector<ContextQuery> queries = FixedWorkload(*engine, kQueries);
-  QueryExecutor executor(engine.get(), {8, 512});
+  QueryExecutor executor(engine.get(), PoolConfig(8, 512));
   std::vector<Result<SearchResult>> results =
       executor.SearchBatch(queries, EvaluationMode::kContextStraightforward);
 
@@ -221,7 +229,7 @@ TEST(QueryExecutorTest, BackpressureRejectsWhenQueueFull) {
   auto engine = ContextSearchEngine::Build(SmallCorpus(), {}).value();
   std::vector<ContextQuery> queries = FixedWorkload(*engine, 64);
 
-  QueryExecutor executor(engine.get(), {1, 1});
+  QueryExecutor executor(engine.get(), PoolConfig(1, 1));
   std::vector<std::future<Result<SearchResult>>> futures;
   for (const ContextQuery& q : queries) {
     futures.push_back(
@@ -255,7 +263,7 @@ TEST(QueryExecutorTest, ShutdownDrainsThenRejects) {
   auto engine = ContextSearchEngine::Build(SmallCorpus(), {}).value();
   std::vector<ContextQuery> queries = FixedWorkload(*engine, 16);
 
-  QueryExecutor executor(engine.get(), {2, 32});
+  QueryExecutor executor(engine.get(), PoolConfig(2, 32));
   std::vector<std::future<Result<SearchResult>>> futures;
   for (const ContextQuery& q : queries) {
     futures.push_back(
@@ -324,7 +332,7 @@ TEST(ConcurrencyStressTest, MetricsReaderUnderLoad) {
   constexpr size_t kQueries = 320;
   std::vector<ContextQuery> queries = FixedWorkload(*engine, kQueries);
 
-  QueryExecutor executor(engine.get(), {4, 64});
+  QueryExecutor executor(engine.get(), PoolConfig(4, 64));
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load(std::memory_order_relaxed)) {
@@ -375,7 +383,7 @@ TEST(QueryExecutorTest, ArmedFaultFiresExactlyOnceAcrossThreads) {
       FaultInjector::Instance().trips(FaultPoint::kPostingAdvance);
   ScopedFault fault(FaultPoint::kPostingAdvance, /*nth=*/1);
 
-  QueryExecutor executor(engine.get(), {8, 64});
+  QueryExecutor executor(engine.get(), PoolConfig(8, 64));
   std::vector<Result<SearchResult>> results =
       executor.SearchBatch(queries, EvaluationMode::kContextStraightforward);
 

@@ -13,6 +13,7 @@
 
 #include "corpus/generator.h"
 #include "engine/engine.h"
+#include "oracle.h"
 #include "storage/serializer.h"
 #include "storage/snapshot.h"
 #include "util/fault.h"
@@ -668,6 +669,106 @@ TEST_F(DegradationTest, FaultInsideBlockKernelContextSetBuildDegrades) {
       EXPECT_EQ(r->top_docs[i].doc, global->top_docs[i].doc) << "rank " << i;
       EXPECT_EQ(r->top_docs[i].score, global->top_docs[i].score)
           << "rank " << i;
+    }
+  }
+}
+
+// Degradation rung 3 on the conjunction engine: a posting budget that
+// trips mid-retrieval ranks a docid prefix of the full conjunction —
+// result_count and top-k equal the oracle's answer over the first
+// result_count matches in docid order. Ticks pay for the shortest list's
+// docids and every paid candidate is joined through the whole chain, so
+// the prefix depends on the docids alone: plain, kAuto and
+// kBitmapPreferred lists, over one part or three, stop at the same one.
+TEST_F(DegradationTest, RetrievalTripRanksADocidPrefixOfTheConjunction) {
+  const Corpus corpus = SmallCorpus();
+  struct Rep {
+    const char* name;
+    bool compressed;
+    CodecPolicy policy;
+  };
+  const Rep reps[] = {{"plain", false, CodecPolicy::kAuto},
+                      {"auto", true, CodecPolicy::kAuto},
+                      {"bitmap", true, CodecPolicy::kBitmapPreferred}};
+  auto build = [&](const Rep& rep, size_t parts, uint64_t budget) {
+    EngineConfig cfg;
+    cfg.estimator_sample = 2000;
+    cfg.compressed_postings = rep.compressed;
+    cfg.codec_policy = rep.policy;
+    cfg.mem_segment_max_docs = 1000;
+    cfg.posting_scan_budget = budget;
+    Corpus base = corpus;
+    if (parts > 1) base.docs.resize(1000);
+    base.config.num_docs = static_cast<uint32_t>(base.docs.size());
+    auto engine = ContextSearchEngine::Build(std::move(base), cfg).value();
+    if (parts > 1) {
+      EXPECT_TRUE(engine
+                      ->AppendDocuments(std::vector<Document>(
+                          corpus.docs.begin() + 1000, corpus.docs.end()))
+                      .ok());
+    }
+    EXPECT_EQ(engine->SegmentInfos().size(), parts);
+    return engine;
+  };
+  // The two most frequent of the first 64 terms, qualified by a root
+  // concept: a broad three-list conjunction.
+  auto probe = build(reps[0], 1, 0);
+  std::vector<TermId> terms(64);
+  for (TermId t = 0; t < terms.size(); ++t) terms[t] = t;
+  std::partial_sort(terms.begin(), terms.begin() + 2, terms.end(),
+                    [&](TermId a, TermId b) {
+                      return probe->content_index().df(a) >
+                             probe->content_index().df(b);
+                    });
+  const ContextQuery q{{terms[0], terms[1]}, {0}};
+  const EvaluationMode mode = EvaluationMode::kConventional;
+
+  for (size_t parts : {size_t{1}, size_t{3}}) {
+    // Unbudgeted, retrieval takes the same ticks over every representation
+    // (conventional statistics tick nothing).
+    uint64_t ticks = 0;
+    uint64_t full = 0;
+    for (const Rep& rep : reps) {
+      auto engine = build(rep, parts, 0);
+      auto ps = engine->BeginSearch(q, mode);
+      ASSERT_TRUE(ps.ok());
+      ASSERT_TRUE(engine->SearchStats(**ps).ok());
+      ASSERT_TRUE(engine->SearchIntersect(**ps).ok());
+      if (ticks == 0) {
+        ticks = (*ps)->guard.ticks();
+        full = (*ps)->result.result_count;
+      }
+      EXPECT_EQ((*ps)->guard.ticks(), ticks) << rep.name;
+      EXPECT_EQ((*ps)->result.result_count, full) << rep.name;
+    }
+    ASSERT_GT(full, 20u);
+    for (uint64_t budget : {ticks / 3, 2 * ticks / 3}) {
+      uint64_t prefix = 0;
+      for (const Rep& rep : reps) {
+        SCOPED_TRACE(std::string(rep.name) + ", " + std::to_string(parts) +
+                     " parts, budget " + std::to_string(budget));
+        auto engine = build(rep, parts, budget);
+        auto r = engine->Search(q, mode);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_TRUE(r->metrics.degraded);
+        EXPECT_NE(r->metrics.degraded_reason.find("retrieval stopped early"),
+                  std::string::npos)
+            << r->metrics.degraded_reason;
+        EXPECT_GT(r->result_count, 0u);
+        EXPECT_LT(r->result_count, full);
+        if (prefix == 0) prefix = r->result_count;
+        EXPECT_EQ(r->result_count, prefix);
+        const OracleAnswer want =
+            OracleSearch(corpus.docs, corpus.docs.size(), q, mode,
+                         engine->ranking(), engine->config().top_k,
+                         r->result_count);
+        ASSERT_EQ(r->top_docs.size(), want.top_docs.size());
+        for (size_t i = 0; i < want.top_docs.size(); ++i) {
+          EXPECT_EQ(r->top_docs[i].doc, want.top_docs[i].doc) << "rank " << i;
+          EXPECT_EQ(r->top_docs[i].score, want.top_docs[i].score)
+              << "rank " << i;
+        }
+      }
     }
   }
 }

@@ -5,8 +5,10 @@
 #include <tuple>
 #include <vector>
 
+#include "index/codec.h"
 #include "index/intersection.h"
 #include "index/posting_list.h"
+#include "index/scan_guard.h"
 #include "util/random.h"
 
 namespace csr {
@@ -32,6 +34,31 @@ PostingList BuildList(const std::vector<DocId>& docs, uint32_t segment) {
   for (DocId d : docs) l.Append(d, (d % 5) + 1);
   l.FinishBuild();
   return l;
+}
+
+/// ∩ lists by the conjunction engine; checks every list's tf of every
+/// survivor on the way (BuildList's tf is d % 5 + 1).
+std::vector<DocId> IntersectAll(std::span<const PostingRef> lists) {
+  Conjunction conj(lists);
+  std::vector<DocId> out;
+  std::vector<uint32_t> tfs;
+  for (size_t from = 0; conj.Next(out); from = out.size()) {
+    std::span<const DocId> window(out.data() + from, out.size() - from);
+    tfs.resize(window.size());
+    for (size_t i = 0; i < lists.size(); ++i) {
+      conj.Tfs(i, window, tfs.data());
+      for (size_t j = 0; j < window.size(); ++j) {
+        EXPECT_EQ(tfs[j], window[j] % 5 + 1) << "list " << i;
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<DocId> IntersectAll(std::span<const PostingList* const> lists) {
+  std::vector<PostingRef> refs;
+  for (const PostingList* l : lists) refs.push_back({l, nullptr, nullptr});
+  return IntersectAll(refs);
 }
 
 TEST_P(IntersectionProperty, MatchesReference) {
@@ -64,6 +91,22 @@ TEST_P(IntersectionProperty, MatchesReference) {
   // Order of the input lists must not change the result.
   std::vector<const PostingList*> reordered = {&c, &a, &b};
   EXPECT_EQ(IntersectAll(reordered), expected_abc);
+
+  // Nor must the representation: compressed lists, alone or mixed with
+  // plain ones, run the same chain on the block kernels.
+  const auto ca = CompressedPostingList::FromPostingList(a, segment);
+  const auto cb = CompressedPostingList::FromPostingList(b, segment);
+  const auto cc = CompressedPostingList::FromPostingList(c, segment);
+  const std::vector<PostingRef> packed = {{nullptr, &ca, nullptr},
+                                          {nullptr, &cb, nullptr},
+                                          {nullptr, &cc, nullptr}};
+  EXPECT_EQ(IntersectAll(packed), expected_abc);
+  const std::vector<PostingRef> mixed = {
+      {&a, nullptr, nullptr}, {nullptr, &cb, nullptr}, {&c, nullptr, nullptr}};
+  EXPECT_EQ(IntersectAll(mixed), expected_abc);
+  const std::vector<PostingRef> mixed2 = {{nullptr, &ca, nullptr},
+                                          {&b, nullptr, nullptr}};
+  EXPECT_EQ(IntersectAll(mixed2), expected_ab);
 }
 
 TEST_P(IntersectionProperty, AggregationMatchesReference) {
@@ -86,10 +129,17 @@ TEST_P(IntersectionProperty, AggregationMatchesReference) {
 
   PostingList a = BuildList(da, segment);
   PostingList b = BuildList(db, segment);
-  std::vector<const PostingList*> lists = {&a, &b};
-  auto agg = IntersectAndAggregate(lists, lengths);
-  EXPECT_EQ(agg.count, expected.size());
-  EXPECT_EQ(agg.sum_len, expected_sum);
+  const std::vector<PostingRef> lists = {{&a, nullptr, nullptr},
+                                         {&b, nullptr, nullptr}};
+  Conjunction conj(lists);
+  uint64_t count = 0;
+  uint64_t sum_len = 0;
+  for (std::vector<DocId> docs; conj.Next(docs); docs.clear()) {
+    count += docs.size();
+    for (DocId d : docs) sum_len += lengths[d];
+  }
+  EXPECT_EQ(count, expected.size());
+  EXPECT_EQ(sum_len, expected_sum);
 }
 
 TEST_P(IntersectionProperty, SkipToFromEveryPosition) {
@@ -134,6 +184,70 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),
                        ::testing::Values(0.005, 0.05, 0.5),
                        ::testing::Values(4u, 32u, 128u)));
+
+// The chain runs in windows of the shortest list, each list resuming where
+// the last window left it. Ticks pay for the shortest list's docids, so
+// every representation ticks the same; a budget stops the chain on the
+// same docid prefix of the answer over every representation.
+TEST(ConjunctionWindowsTest, ResumesAcrossWindowsAndTripsToAPrefix) {
+  SplitMix64 rng(77);
+  const uint32_t kUniverse = 120000;
+  const std::vector<DocId> da = RandomDocs(rng, kUniverse, 0.05);
+  const std::vector<DocId> db = RandomDocs(rng, kUniverse, 0.3);
+  const std::vector<DocId> dc = RandomDocs(rng, kUniverse, 0.6);
+  std::vector<DocId> ab, want;
+  std::set_intersection(da.begin(), da.end(), db.begin(), db.end(),
+                        std::back_inserter(ab));
+  std::set_intersection(ab.begin(), ab.end(), dc.begin(), dc.end(),
+                        std::back_inserter(want));
+  ASSERT_GT(da.size(), 3 * Conjunction::kWindow);
+  const PostingList a = BuildList(da, 128), b = BuildList(db, 128),
+                    c = BuildList(dc, 128);
+  std::vector<CompressedPostingList> packed, bitmaps;
+  for (const PostingList* l : {&a, &b, &c}) {
+    packed.push_back(CompressedPostingList::FromPostingList(*l));
+    bitmaps.push_back(CompressedPostingList::FromPostingList(
+        *l, 128, CodecPolicy::kBitmapPreferred));
+  }
+  const std::vector<std::vector<PostingRef>> reps = {
+      {{&c}, {&a}, {&b}},
+      {{nullptr, &packed[2]}, {nullptr, &packed[0]}, {nullptr, &packed[1]}},
+      {{nullptr, &bitmaps[2]}, {nullptr, &bitmaps[0]}, {nullptr, &bitmaps[1]}},
+      {{&c}, {nullptr, &packed[0]}, {nullptr, &bitmaps[1]}},
+      {{nullptr, &packed[2]}, {&a}, {nullptr, &bitmaps[1]}}};
+  uint64_t ticks = 0;
+  for (size_t r = 0; r < reps.size(); ++r) {
+    ScanGuard guard(0, 0);
+    Conjunction conj(reps[r], &guard);
+    std::vector<DocId> got;
+    size_t windows = 0;
+    while (conj.Next(got)) ++windows;
+    EXPECT_EQ(got, want) << "rep " << r;
+    EXPECT_GT(windows, 3u) << "rep " << r;
+    EXPECT_FALSE(conj.aborted());
+    if (r == 0) ticks = guard.ticks();
+    EXPECT_EQ(guard.ticks(), ticks) << "rep " << r;
+    EXPECT_EQ(IntersectAll(reps[r]), want) << "rep " << r;
+  }
+  for (uint64_t budget : {ticks / 3, ticks / 2 + 1}) {
+    size_t prefix = 0;
+    for (size_t r = 0; r < reps.size(); ++r) {
+      ScanGuard guard(0, budget);
+      Conjunction conj(reps[r], &guard);
+      std::vector<DocId> got;
+      while (conj.Next(got)) {
+      }
+      EXPECT_TRUE(conj.aborted());
+      EXPECT_EQ(guard.ticks(), budget + 1);
+      ASSERT_LT(got.size(), want.size());
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+          << "rep " << r << ": not a prefix of the answer";
+      if (r == 0) prefix = got.size();
+      EXPECT_EQ(got.size(), prefix) << "rep " << r;
+    }
+    EXPECT_GT(prefix, 0u);
+  }
+}
 
 TEST(IntersectionCostTest, SelectiveDriverSkipsSegments) {
   // |L_a| = 10, |L_b| = 100000: the skip-based join must touch far fewer

@@ -5,6 +5,7 @@
 #include "index/intersection.h"
 #include "index/inverted_index.h"
 #include "index/posting_list.h"
+#include "stats/context_set.h"
 
 namespace csr {
 namespace {
@@ -14,6 +15,17 @@ PostingList MakeList(const std::vector<DocId>& docs, uint32_t segment_size = 4) 
   for (DocId d : docs) l.Append(d, 1);
   l.FinishBuild();
   return l;
+}
+
+/// ∩ lists materialized by the conjunction engine.
+std::vector<DocId> IntersectAll(std::span<const PostingList* const> lists) {
+  std::vector<PostingRef> refs;
+  for (const PostingList* l : lists) refs.push_back({l, nullptr, nullptr});
+  Conjunction conj(refs);
+  std::vector<DocId> out;
+  while (conj.Next(out)) {
+  }
+  return out;
 }
 
 TEST(PostingListTest, AppendAndIterate) {
@@ -112,8 +124,9 @@ TEST(IntersectionTest, SingleList) {
   EXPECT_EQ(IntersectAll(lists), (std::vector<DocId>{2, 4, 6}));
 }
 
-TEST(ConjunctionIteratorTest, TfsAlignWithCallerOrder) {
-  // List order passed by caller differs from selectivity order.
+TEST(ConjunctionTest, TfsAlignWithCallerOrder) {
+  // List order passed by caller differs from selectivity order, and the
+  // lists come in both representations.
   PostingList a(4);  // longer list
   for (DocId d = 0; d < 100; ++d) a.Append(d, d + 1);
   a.FinishBuild();
@@ -121,30 +134,48 @@ TEST(ConjunctionIteratorTest, TfsAlignWithCallerOrder) {
   b.Append(10, 7);
   b.Append(50, 9);
   b.FinishBuild();
+  const CompressedPostingList ca = CompressedPostingList::FromPostingList(a, 8);
+  const CompressedPostingList cb = CompressedPostingList::FromPostingList(b, 8);
 
-  std::vector<const PostingList*> lists = {&a, &b};
-  ConjunctionIterator it(lists);
-  ASSERT_FALSE(it.AtEnd());
-  EXPECT_EQ(it.doc(), 10u);
-  EXPECT_EQ(it.tf(0), 11u);  // tf in `a` even though `b` drives
-  EXPECT_EQ(it.tf(1), 7u);
-  it.Next();
-  EXPECT_EQ(it.doc(), 50u);
-  EXPECT_EQ(it.tf(0), 51u);
-  EXPECT_EQ(it.tf(1), 9u);
-  it.Next();
-  EXPECT_TRUE(it.AtEnd());
+  for (bool packed : {false, true}) {
+    SCOPED_TRACE(packed ? "compressed" : "plain");
+    std::vector<PostingRef> lists = {
+        packed ? PostingRef{nullptr, &ca, nullptr} : PostingRef{&a},
+        packed ? PostingRef{nullptr, &cb, nullptr} : PostingRef{&b}};
+    Conjunction conj(lists);
+    std::vector<DocId> docs;
+    while (conj.Next(docs)) {
+    }
+    ASSERT_EQ(docs, (std::vector<DocId>{10, 50}));
+    uint32_t tfs[2][2] = {};
+    conj.Tfs(0, docs, tfs[0]);  // tf in `a` even though `b` drives
+    conj.Tfs(1, docs, tfs[1]);
+    EXPECT_EQ(tfs[0][0], 11u);
+    EXPECT_EQ(tfs[0][1], 51u);
+    EXPECT_EQ(tfs[1][0], 7u);
+    EXPECT_EQ(tfs[1][1], 9u);
+    EXPECT_FALSE(conj.aborted());
+  }
 }
 
+// ∩γ of Figure 3: the context set's build takes γ_count and γ_sum(len)
+// over the conjunction of the predicate lists.
 TEST(IntersectAndAggregateTest, CountAndSum) {
-  PostingList a = MakeList({0, 1, 2, 3});
-  PostingList b = MakeList({1, 3});
-  std::vector<uint32_t> lengths = {10, 20, 30, 40};
-  std::vector<const PostingList*> lists = {&a, &b};
+  IndexBuilder content(4), predicate(4);
+  const std::vector<std::vector<TermId>> annotations = {{0}, {0, 1}, {0},
+                                                        {0, 1}};
+  for (DocId d = 0; d < 4; ++d) {
+    ASSERT_TRUE(
+        content.AddDocument(d, std::vector<TermId>(10 * (d + 1), 7)).ok());
+    ASSERT_TRUE(predicate.AddDocument(d, annotations[d]).ok());
+  }
+  const InvertedIndex ci = content.Build();
+  const InvertedIndex pi = predicate.Build();
   CostCounters cost;
-  auto agg = IntersectAndAggregate(lists, lengths, &cost);
-  EXPECT_EQ(agg.count, 2u);
-  EXPECT_EQ(agg.sum_len, 60u);
+  const std::vector<TermId> context = {0, 1};
+  ContextSet set = ContextSet::Build(ci, pi, context, &cost);
+  EXPECT_EQ(set.Size(), 2u);
+  EXPECT_EQ(set.total_length(), 60u);
   EXPECT_EQ(cost.aggregation_entries, 2u);
 }
 

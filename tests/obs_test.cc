@@ -24,6 +24,14 @@
 namespace csr {
 namespace {
 
+/// A query-worker pool of `threads` workers and a queue of `capacity`.
+ExecutorConfig PoolConfig(uint32_t threads, size_t capacity) {
+  ExecutorConfig cfg;
+  cfg.num_threads = threads;
+  cfg.queue_capacity = capacity;
+  return cfg;
+}
+
 // ------------------------------------------------------------- registry
 
 TEST(MetricsRegistryTest, GetOrCreateReturnsStableInstruments) {
@@ -253,7 +261,7 @@ TEST(MetricsExportTest, SnapshotJsonRoundTripsLegacyCounters) {
   ASSERT_TRUE(engine->MaterializeViews({ViewDefinition{{0, 1, 2, 3}}}).ok());
 
   {
-    QueryExecutor executor(engine.get(), {2, 32});
+    QueryExecutor executor(engine.get(), PoolConfig(2, 32));
     std::vector<ContextQuery> queries;
     for (int i = 0; i < 12; ++i) {
       queries.push_back(ObsQuery(*engine, static_cast<TermId>(i % 4)));
@@ -610,7 +618,7 @@ TEST(QueryTraceTest, QueueWaitAttributedFromExecutor) {
   EngineConfig ecfg;
   ecfg.trace_sample_rate = 1.0;
   auto engine = ContextSearchEngine::Build(ObsCorpus(), ecfg).value();
-  QueryExecutor executor(engine.get(), {1, 8});
+  QueryExecutor executor(engine.get(), PoolConfig(1, 8));
   std::vector<ContextQuery> queries(4, ObsQuery(*engine, 1));
   auto results =
       executor.SearchBatch(queries, EvaluationMode::kContextStraightforward);

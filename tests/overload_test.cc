@@ -35,6 +35,14 @@
 namespace csr {
 namespace {
 
+/// A query-worker pool of `threads` workers and a queue of `capacity`.
+ExecutorConfig PoolConfig(uint32_t threads, size_t capacity) {
+  ExecutorConfig cfg;
+  cfg.num_threads = threads;
+  cfg.queue_capacity = capacity;
+  return cfg;
+}
+
 Corpus SmallCorpus(uint32_t docs = 3000, uint64_t seed = 77) {
   CorpusConfig cfg;
   cfg.num_docs = docs;
@@ -298,7 +306,7 @@ TEST(ExecutorTenantTest, ShedQueryIsTypedErrorNeverPartialSuccess) {
   ecfg.deadline_ms = 0.05;
   auto engine = ContextSearchEngine::Build(std::move(corpus), ecfg).value();
   ASSERT_TRUE(engine->MaterializeViews({ViewDefinition{{0, 1, 2, 3}}}).ok());
-  QueryExecutor executor(engine.get(), {/*num_threads=*/1, 256});
+  QueryExecutor executor(engine.get(), PoolConfig(1, 256));
   std::vector<ContextQuery> queries = FixedWorkload(*engine, 64);
   auto batch =
       executor.SearchBatch(queries, EvaluationMode::kContextWithViews);
@@ -464,7 +472,7 @@ TEST_P(FaultStormTest, StormScoresBitIdenticalToSequentialBaseline) {
   std::vector<Result<SearchResult>> stormed;
   {
     ScopedFaultRate storm(FaultPoint::kViewRead, 0.10, /*seed=*/0x57042);
-    QueryExecutor executor(engine.get(), {/*num_threads=*/4, 256});
+    QueryExecutor executor(engine.get(), PoolConfig(4, 256));
     stormed = executor.SearchBatch(queries, EvaluationMode::kContextWithViews);
   }
   // The storm reached this source's view reads.

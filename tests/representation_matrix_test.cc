@@ -145,7 +145,7 @@ TEST(RepresentationMatrixTest, AllPairsMatchSetIntersectionReference) {
                                    [&](DocId d) { got.push_back(d); });
           EXPECT_EQ(got, ref) << what;
 
-          // Guarded (leapfrog) path: same count, different machinery.
+          // Guarded path: same count, charging the guard.
           ScanGuard guard(0.0, 0);
           std::vector<PostingCursor> guarded;
           guarded.emplace_back(&ca, nullptr);
@@ -357,11 +357,9 @@ TEST(RepresentationMatrixTest, SegmentedTopKIdenticalAcrossLevels) {
       want.push_back(std::move(r).value());
     }
   }
-  // The segmented search path consulted the selector (kernel or leapfrog).
+  // The segmented search path consulted the kernel selector.
   const IntersectTallies t = SnapshotIntersectTallies();
-  EXPECT_GT(t.pairwise + t.wide_probe + t.gallop + t.leapfrog_merge +
-                t.leapfrog_gallop,
-            0u);
+  EXPECT_GT(t.pairwise + t.wide_probe + t.gallop, 0u);
 
   for (UnpackLevel lvl : {UnpackLevel::kSse2, UnpackLevel::kAvx2}) {
     if (!UnpackLevelSupported(lvl)) continue;

@@ -1,10 +1,9 @@
-// ScanGuard::Charge and grants (Grant/Refund) against single Tick() calls.
-// A scan may charge its ticks one at a time, n at a time, or count down a
-// grant locally; all three must trip on the same tick with the same Trip,
-// poll the deadline on the same ticks, consult the fault injector on the
-// same hits, and end with the same ticks(). Each case runs T ticks through
-// a reference guard one Tick() at a time, then through a fresh guard under
-// the same configuration by random Charge(n) splits and by grants.
+// ScanGuard::Charge against single Tick() calls. A join may charge its
+// ticks one at a time or n at a time; both must trip on the same tick with
+// the same Trip, poll the deadline on the same ticks, consult the fault
+// injector on the same hits, and end with the same ticks(). Each case runs
+// T ticks through a reference guard one Tick() at a time, then through a
+// fresh guard under the same configuration by random Charge(n) splits.
 
 #include <gtest/gtest.h>
 
@@ -50,7 +49,7 @@ Outcome Finish(const ScanGuard& g, uint64_t stopped_at, uint64_t hits0,
                  fi.trips(FaultPoint::kPostingAdvance) - trips0};
 }
 
-/// The three ways to charge T ticks. Each returns the run's Outcome; the
+/// The two ways to charge T ticks. Each returns the run's Outcome; the
 /// injector's counters are read around the run.
 Outcome ByTicks(ScanGuard& g, uint64_t total) {
   const FaultInjector& fi = FaultInjector::Instance();
@@ -88,33 +87,13 @@ Outcome ByCharges(ScanGuard& g, uint64_t total, SplitMix64& rng) {
   return Finish(g, stopped, h0, t0);
 }
 
-Outcome ByGrants(ScanGuard& g, uint64_t total) {
-  const FaultInjector& fi = FaultInjector::Instance();
-  const uint64_t h0 = fi.hits(FaultPoint::kPostingAdvance);
-  const uint64_t t0 = fi.trips(FaultPoint::kPostingAdvance);
-  uint64_t left = 0;
-  uint64_t stopped = 0;
-  for (uint64_t t = 1; t <= total; ++t) {
-    if (left == 0) {
-      left = g.Grant();
-      if (left == 0) {
-        stopped = t;
-        break;
-      }
-    }
-    --left;
-  }
-  g.Refund(left);
-  return Finish(g, stopped, h0, t0);
-}
-
 class ScanGuardChargeTest : public ::testing::Test {
  protected:
   void SetUp() override { FaultInjector::Instance().DisarmAll(); }
   void TearDown() override { FaultInjector::Instance().DisarmAll(); }
 };
 
-/// Runs one case three ways: `make` builds a fresh guard and `arm`
+/// Runs one case both ways: `make` builds a fresh guard and `arm`
 /// re-arms the injector identically before each run.
 void RunCase(const std::function<ScanGuard()>& make,
              const std::function<void()>& arm, uint64_t total,
@@ -127,11 +106,6 @@ void RunCase(const std::function<ScanGuard()>& make,
   arm();
   ScanGuard charged = make();
   ExpectSame(ByCharges(charged, total, rng), want, what + " (Charge)");
-  FaultInjector::Instance().DisarmAll();
-
-  arm();
-  ScanGuard granted = make();
-  ExpectSame(ByGrants(granted, total), want, what + " (grants)");
   FaultInjector::Instance().DisarmAll();
 }
 
@@ -173,7 +147,7 @@ TEST_F(ScanGuardChargeTest, ExpiredDeadlineTripsOnTheFirstPoll) {
   EXPECT_TRUE(g.Charge(100));
   EXPECT_EQ(g.ticks(), 1u);
   g.Reprieve();
-  EXPECT_EQ(g.Grant(), 0u);
+  EXPECT_TRUE(g.Charge(1));
   EXPECT_EQ(g.trip(), ScanGuard::Trip::kDeadline);
   EXPECT_EQ(g.ticks(), 1u);
 }
@@ -185,17 +159,15 @@ TEST_F(ScanGuardChargeTest, DeadlinePollsOnTheSameTicks) {
   SplitMix64 rng(17);
   for (uint64_t k : {1ull, 2ull, 64ull, 65ull, 100ull, 129ull, 200ull}) {
     const uint64_t want = ((k - 1) | 0x3F) + 2;
-    for (int way = 0; way < 3; ++way) {
+    for (int way = 0; way < 2; ++way) {
       ScanGuard g(/*deadline_ms=*/20.0, 0);
       ASSERT_FALSE(g.Charge(k)) << "host too slow to charge " << k;
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
       uint64_t stopped = 0;
       if (way == 0) {
         stopped = ByTicks(g, 300).stopped_at;
-      } else if (way == 1) {
-        stopped = ByCharges(g, 300, rng).stopped_at;
       } else {
-        stopped = ByGrants(g, 300).stopped_at;
+        stopped = ByCharges(g, 300, rng).stopped_at;
       }
       EXPECT_EQ(k + stopped, want) << "k " << k << " way " << way;
       EXPECT_EQ(g.trip(), ScanGuard::Trip::kDeadline);
@@ -252,13 +224,11 @@ TEST_F(ScanGuardChargeTest, DelayTriggersSlowEveryTick) {
   SplitMix64 rng(31);
   constexpr uint64_t kTicks = 20;
   constexpr uint64_t kDelayUs = 500;
-  for (int way = 0; way < 3; ++way) {
+  for (int way = 0; way < 2; ++way) {
     ScopedFaultDelay delay(FaultPoint::kPostingAdvance, kDelayUs);
     ScanGuard g(0.0, 0);
     const auto start = std::chrono::steady_clock::now();
-    Outcome o = way == 0   ? ByTicks(g, kTicks)
-                : way == 1 ? ByCharges(g, kTicks, rng)
-                           : ByGrants(g, kTicks);
+    Outcome o = way == 0 ? ByTicks(g, kTicks) : ByCharges(g, kTicks, rng);
     const auto elapsed = std::chrono::steady_clock::now() - start;
     EXPECT_FALSE(o.tripped) << "way " << way;
     EXPECT_EQ(o.ticks, kTicks) << "way " << way;
@@ -273,35 +243,6 @@ TEST_F(ScanGuardChargeTest, DelayTriggersSlowEveryTick) {
             FaultInjector::Instance().Arm(FaultPoint::kPostingAdvance, 9);
           },
           30, rng, "delay plus one-shot");
-}
-
-TEST_F(ScanGuardChargeTest, RefundKeepsTicksExactAndGrantsEndBeforeEvents) {
-  // No bound at all: one grant covers a whole scan.
-  ScanGuard free_guard(0.0, 0);
-  const uint64_t n = free_guard.Grant();
-  EXPECT_GT(n, 1000000u);
-  free_guard.Refund(n - 37);
-  EXPECT_EQ(free_guard.ticks(), 37u);
-  // A budget ends the grant at its edge; the next grant is the trip.
-  ScanGuard budgeted(0.0, 50);
-  EXPECT_EQ(budgeted.Grant(), 50u);
-  EXPECT_EQ(budgeted.Grant(), 0u);
-  EXPECT_EQ(budgeted.trip(), ScanGuard::Trip::kBudget);
-  EXPECT_EQ(budgeted.ticks(), 51u);
-  // A deadline: tick 1 polls alone, then grants run to the next poll.
-  ScanGuard polled(1e6, 0);
-  EXPECT_EQ(polled.Grant(), 1u);
-  EXPECT_EQ(polled.Grant(), 63u);
-  EXPECT_EQ(polled.Grant(), 1u);  // tick 65 polls
-  EXPECT_EQ(polled.ticks(), 65u);
-  // An armed fault: one tick per grant.
-  ScopedFault fault(FaultPoint::kPostingAdvance, 3);
-  ScanGuard armed(0.0, 0);
-  EXPECT_EQ(armed.Grant(), 1u);
-  EXPECT_EQ(armed.Grant(), 1u);
-  EXPECT_EQ(armed.Grant(), 0u);
-  EXPECT_EQ(armed.trip(), ScanGuard::Trip::kFault);
-  EXPECT_EQ(armed.ticks(), 3u);
 }
 
 }  // namespace

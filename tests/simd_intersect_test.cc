@@ -269,25 +269,31 @@ TEST(SimdIntersectTest, CompressedPairwiseBitIdenticalAcrossLevels) {
   }
 }
 
-// -- Leapfrog strategy tallies ----------------------------------------------
+// -- Kernel selection tallies ------------------------------------------------
 
-TEST(SimdIntersectTest, LeapfrogChoicesRecorded) {
+// The conjunction engine's pairwise step records each array-kernel pick:
+// a near-equal pair of compressed lists lands on the 2-way kernel, a 64x
+// pair (about two driver docids per probe block) on the wide probe.
+TEST(SimdIntersectTest, KernelChoicesRecorded) {
   ResetIntersectTalliesForTest();
   SplitMix64 rng(59);
-  PostingList a = ToList(RandomSorted(rng, 100, 4));
-  PostingList near_eq = ToList(RandomSorted(rng, 120, 4));
-  PostingList skewed = ToList(RandomSorted(rng, 100 * 64, 1));
-  {
-    std::vector<const PostingList*> lists = {&a, &near_eq};
-    (void)CountIntersection(lists);
-  }
-  {
-    std::vector<const PostingList*> lists = {&a, &skewed};
-    (void)CountIntersection(lists);
+  auto packed = [&](size_t n, uint32_t max_gap) {
+    return CompressedPostingList::FromPostingList(
+        ToList(RandomSorted(rng, n, max_gap)), 128, CodecPolicy::kForOnly);
+  };
+  const CompressedPostingList a = packed(1000, 4);
+  const CompressedPostingList near_eq = packed(1200, 4);
+  const CompressedPostingList sparse = packed(100, 128);
+  const CompressedPostingList dense = packed(12800, 1);
+  for (auto [x, y] : {std::pair{&a, &near_eq}, std::pair{&sparse, &dense}}) {
+    std::vector<PostingCursor> cursors;
+    cursors.emplace_back(x, nullptr);
+    cursors.emplace_back(y, nullptr);
+    (void)CountIntersection(std::move(cursors));
   }
   const IntersectTallies t = SnapshotIntersectTallies();
-  EXPECT_GE(t.leapfrog_merge, 2u);   // near-equal pair: both cursors merge
-  EXPECT_GE(t.leapfrog_gallop, 2u);  // 64x pair: both cursors gallop
+  EXPECT_GE(t.pairwise, 1u);    // near-equal pair
+  EXPECT_GE(t.wide_probe, 1u);  // 64x pair
 }
 
 }  // namespace
