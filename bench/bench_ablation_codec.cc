@@ -40,8 +40,8 @@ using csr::CodecPolicy;
 using csr::CompressedPostingList;
 using csr::CostCounters;
 using csr::DocId;
-using csr::PostingCursor;
 using csr::PostingList;
+using csr::PostingRef;
 using csr::SplitMix64;
 
 PostingList MakeList(uint32_t universe, double density, uint64_t seed) {
@@ -92,11 +92,10 @@ void BM_CodecIntersection(benchmark::State& state) {
   }
   auto ca = CompressedPostingList::FromPostingList(a, block, PolicyOf(codec));
   auto cb = CompressedPostingList::FromPostingList(b, block, PolicyOf(codec));
+  const PostingRef lists[] = {{nullptr, &ca, nullptr},
+                              {nullptr, &cb, nullptr}};
   for (auto _ : state) {
-    std::vector<PostingCursor> cursors;
-    cursors.emplace_back(&ca, nullptr);
-    cursors.emplace_back(&cb, nullptr);
-    benchmark::DoNotOptimize(csr::CountIntersection(std::move(cursors)));
+    benchmark::DoNotOptimize(csr::CountIntersection(lists));
   }
   state.counters["bytes"] =
       static_cast<double>(ca.MemoryBytes() + cb.MemoryBytes());
@@ -148,10 +147,8 @@ double MeasureQps(Fn&& fn) {
 uint64_t IntersectCompressed(const CompressedPostingList& a,
                              const CompressedPostingList& b,
                              CostCounters* cost = nullptr) {
-  std::vector<PostingCursor> cursors;
-  cursors.emplace_back(&a, cost);
-  cursors.emplace_back(&b, cost);
-  return csr::CountIntersection(std::move(cursors));
+  const PostingRef lists[] = {{nullptr, &a, cost}, {nullptr, &b, cost}};
+  return csr::CountIntersection(lists);
 }
 
 /// Runs the intersection several times against one shared CostCounters and

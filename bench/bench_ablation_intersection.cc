@@ -38,6 +38,7 @@ using csr::CostCounters;
 using csr::DocId;
 using csr::PostingCursor;
 using csr::PostingList;
+using csr::PostingRef;
 
 PostingList MakeUniformList(uint32_t universe, uint32_t stride,
                             uint32_t segment) {
@@ -203,11 +204,10 @@ void BM_MixedConjunction(benchmark::State& state) {
   for (uint32_t i = 1; i < k; ++i) {
     clists.push_back(CompressedPostingList::FromPostingList(lists[i], 128));
   }
+  std::vector<PostingRef> refs = {{&lists[0], nullptr, nullptr}};
+  for (auto& cl : clists) refs.push_back({nullptr, &cl, nullptr});
   for (auto _ : state) {
-    std::vector<PostingCursor> cursors;
-    cursors.emplace_back(&lists[0], nullptr);
-    for (auto& cl : clists) cursors.emplace_back(&cl, nullptr);
-    benchmark::DoNotOptimize(csr::CountIntersection(std::move(cursors)));
+    benchmark::DoNotOptimize(csr::CountIntersection(refs));
   }
 }
 BENCHMARK(BM_MixedConjunction)->DenseRange(2, 5)->Unit(benchmark::kMicrosecond);

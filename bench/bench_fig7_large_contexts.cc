@@ -43,8 +43,10 @@ int main() {
     double conv_ms = 0, view_ms = 0, direct_ms = 0;
     uint32_t view_hits = 0;
     for (const auto& wq : queries) {
-      // Average over repeats; the first run warms nothing persistent (all
-      // in-memory), repeats just reduce timer noise.
+      // Average over repeats, which reduce timer noise. The with-views runs
+      // of a context also fill the context-set cache (DESIGN.md §18), so
+      // from the third on its untracked keywords join the cached D_P; the
+      // straightforward runs never use that cache.
       double c = 0, v = 0, d = 0;
       for (int rep = 0; rep < kRepeats; ++rep) {
         auto rc = engine->Search(wq.query, EvaluationMode::kConventional);

@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
                 ? row.s->busy_ms_total /
                       (p.uptime_ms * static_cast<double>(row.s->workers))
                 : 0.0;
-        std::printf("  %-9s workers=%-2zu processed=%-8llu depth=%zu "
+        std::printf("  %-9s workers=%-2u processed=%-8llu depth=%zu "
                     "(max %zu) wait_ms=%-8.2f busy=%.0f%%\n",
                     row.name, row.s->workers,
                     static_cast<unsigned long long>(row.s->processed),

@@ -69,6 +69,11 @@ struct SearchMetrics {
   bool used_adaptive_view = false;
   bool fell_back_to_straightforward = false;
   bool stats_cache_hit = false;
+  /// Parts whose context set came from the context-set cache (a plan
+  /// choice, like a stats-cache hit): their statistics (and, on a
+  /// straightforward-served part, retrieval) joined the cached D_P instead
+  /// of building it or running the predicate-list chain.
+  uint32_t context_set_hits = 0;
   uint64_t view_tuples_scanned = 0;
   uint32_t keywords_uncovered_by_view = 0;
   CostCounters cost;

@@ -1,27 +1,12 @@
 #include "engine/stats_cache.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace csr {
 
 StatsCache::StatsCache(size_t capacity, size_t num_shards)
-    : capacity_(capacity) {
-  if (num_shards == 0) num_shards = kDefaultShards;
-  // Clamp to [1, capacity] for ANY requested count, not just the auto-pick:
-  // the total capacity is distributed across shards, so num_shards >
-  // capacity would leave zero-capacity shards whose Put silently drops
-  // every entry that hashes to them.
-  num_shards_ =
-      std::max<size_t>(1, std::min(num_shards, std::max<size_t>(capacity, 1)));
-  shards_ = std::make_unique<Shard[]>(num_shards_);
-  // Distribute the total capacity; the first (capacity % shards) shards
-  // take one extra entry so the shard capacities sum to `capacity`.
-  size_t base = capacity_ / num_shards_;
-  size_t extra = capacity_ % num_shards_;
-  for (size_t i = 0; i < num_shards_; ++i) {
-    shards_[i].capacity = base + (i < extra ? 1 : 0);
-  }
-}
+    : lru_(capacity, num_shards),
+      counters_(std::make_unique<ShardCounters[]>(lru_.num_shards())) {}
 
 TermIdSet StatsCache::MakeKey(std::span<const TermId> context,
                               std::span<const TermId> keywords,
@@ -50,112 +35,75 @@ TermIdSet StatsCache::MakeKey(std::span<const TermId> context,
 std::optional<CollectionStats> StatsCache::Get(
     std::span<const TermId> context, std::span<const TermId> keywords,
     YearRange range, uint64_t epoch) {
-  if (capacity_ == 0) return std::nullopt;
+  if (capacity() == 0) return std::nullopt;
   TermIdSet key = MakeKey(context, keywords, range, epoch);
-  Shard& shard = shards_[ShardIndex(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    ++shard.misses;
+  const size_t shard = lru_.ShardOf(key);
+  std::optional<CollectionStats> out(std::in_place);
+  if (!lru_.Get(shard, key, &*out)) {
+    counters_[shard].misses.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->second;  // copy out under the lock
+  counters_[shard].hits.fetch_add(1, std::memory_order_relaxed);
+  return out;
 }
 
 void StatsCache::Put(std::span<const TermId> context,
                      std::span<const TermId> keywords, YearRange range,
                      CollectionStats stats, uint64_t epoch) {
-  if (capacity_ == 0) return;
+  if (capacity() == 0) return;
   TermIdSet key = MakeKey(context, keywords, range, epoch);
-  Shard& shard = shards_[ShardIndex(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // The constructor clamps num_shards_ <= capacity_, so every shard has
-  // capacity >= 1 whenever the cache is enabled.
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
-    it->second->second = std::move(stats);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.emplace_front(key, std::move(stats));
-  shard.map[std::move(key)] = shard.lru.begin();
-  if (shard.map.size() > shard.capacity) {
-    shard.map.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  const size_t shard = lru_.ShardOf(key);
+  const uint64_t evicted =
+      lru_.Put(shard, std::move(key), std::move(stats), /*weight=*/1).evicted;
+  counters_[shard].evictions.fetch_add(evicted, std::memory_order_relaxed);
 }
 
-size_t StatsCache::size() const {
-  size_t total = 0;
-  for (size_t i = 0; i < num_shards_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    total += shards_[i].map.size();
-  }
-  return total;
-}
+size_t StatsCache::size() const { return lru_.size(); }
 
 uint64_t StatsCache::hits() const {
   uint64_t total = 0;
-  for (size_t i = 0; i < num_shards_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    total += shards_[i].hits;
-  }
+  for (size_t i = 0; i < num_shards(); ++i) total += shard_hits(i);
   return total;
 }
 
 uint64_t StatsCache::misses() const {
   uint64_t total = 0;
-  for (size_t i = 0; i < num_shards_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    total += shards_[i].misses;
-  }
+  for (size_t i = 0; i < num_shards(); ++i) total += shard_misses(i);
   return total;
 }
 
 uint64_t StatsCache::evictions() const {
   uint64_t total = 0;
-  for (size_t i = 0; i < num_shards_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    total += shards_[i].evictions;
-  }
+  for (size_t i = 0; i < num_shards(); ++i) total += shard_evictions(i);
   return total;
 }
 
 size_t StatsCache::shard_size(size_t shard) const {
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
-  return shards_[shard].map.size();
+  return lru_.shard_size(shard);
 }
 
 size_t StatsCache::shard_capacity(size_t shard) const {
-  return shards_[shard].capacity;
+  return static_cast<size_t>(lru_.shard_capacity(shard));
 }
 
 uint64_t StatsCache::shard_hits(size_t shard) const {
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
-  return shards_[shard].hits;
+  return counters_[shard].hits.load(std::memory_order_relaxed);
 }
 
 uint64_t StatsCache::shard_misses(size_t shard) const {
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
-  return shards_[shard].misses;
+  return counters_[shard].misses.load(std::memory_order_relaxed);
 }
 
 uint64_t StatsCache::shard_evictions(size_t shard) const {
-  std::lock_guard<std::mutex> lock(shards_[shard].mu);
-  return shards_[shard].evictions;
+  return counters_[shard].evictions.load(std::memory_order_relaxed);
 }
 
 void StatsCache::Clear() {
-  for (size_t i = 0; i < num_shards_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    shards_[i].lru.clear();
-    shards_[i].map.clear();
-    shards_[i].hits = 0;
-    shards_[i].misses = 0;
-    shards_[i].evictions = 0;
+  lru_.Clear();
+  for (size_t i = 0; i < num_shards(); ++i) {
+    counters_[i].hits.store(0, std::memory_order_relaxed);
+    counters_[i].misses.store(0, std::memory_order_relaxed);
+    counters_[i].evictions.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -1,17 +1,15 @@
 #ifndef CSR_ENGINE_STATS_CACHE_H_
 #define CSR_ENGINE_STATS_CACHE_H_
 
+#include <atomic>
 #include <cstddef>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
+#include "engine/sharded_lru.h"
 #include "stats/statistics.h"
-#include "util/hash.h"
 #include "util/types.h"
 
 namespace csr {
@@ -22,24 +20,25 @@ namespace csr {
 /// "digestive system"), and the statistics of a context are immutable for a
 /// static collection — a natural cache.
 ///
-/// Concurrency: the cache is striped into `num_shards` independent LRU
-/// shards, each guarded by its own mutex. A key maps to exactly one shard
-/// (by hash of its context signature), so concurrent queries over
-/// *different* contexts proceed without contending on a lock, and
-/// contention on the *same* context is limited to the microseconds of a
-/// map lookup + splice. Get/Put/Clear and all counters are safe to call
-/// from any number of threads; LRU order and capacity are maintained per
-/// shard.
+/// Concurrency: the cache is a ShardedLru (engine/sharded_lru.h) weighted
+/// one unit per entry: `num_shards` independent LRU shards, each guarded
+/// by its own mutex. A key maps to exactly one shard (by hash of its
+/// context signature), so concurrent queries over *different* contexts
+/// proceed without contending on a lock, and contention on the *same*
+/// context is limited to the microseconds of a map lookup + splice.
+/// Get/Put/Clear and all counters are safe to call from any number of
+/// threads; LRU order and capacity are maintained per shard.
 ///
-/// Counters (hits/misses/evictions) are maintained under the shard mutex,
-/// so they are exact — hits() + misses() equals the number of Get calls
-/// that reached a shard, even under concurrent hammering. Aggregate
-/// accessors sum the shards and are monotonic but not a single atomic
-/// snapshot across shards.
+/// Counters (hits/misses/evictions) are per-shard relaxed atomics, one
+/// increment per Get or eviction, so none is lost — hits() + misses()
+/// equals the number of Get calls that reached a shard once the callers
+/// are quiescent, even after concurrent hammering. Aggregate accessors sum
+/// the shards and are monotonic but not a single snapshot across shards.
 class StatsCache {
  public:
   /// Default shard count when the caller does not pick one.
-  static constexpr size_t kDefaultShards = 8;
+  static constexpr size_t kDefaultShards =
+      ShardedLru<CollectionStats>::kDefaultShards;
 
   /// capacity == 0 disables the cache (Get always misses, Put drops).
   /// `num_shards` == 0 picks kDefaultShards; tests pass 1 for a single
@@ -82,8 +81,8 @@ class StatsCache {
   uint64_t misses() const;
   uint64_t evictions() const;
 
-  size_t capacity() const { return capacity_; }
-  size_t num_shards() const { return num_shards_; }
+  size_t capacity() const { return static_cast<size_t>(lru_.capacity()); }
+  size_t num_shards() const { return lru_.num_shards(); }
 
   // Per-shard introspection (tests, telemetry).
   size_t shard_size(size_t shard) const;
@@ -99,30 +98,14 @@ class StatsCache {
                            std::span<const TermId> keywords,
                            YearRange range, uint64_t epoch);
 
-  using Entry = std::pair<TermIdSet, CollectionStats>;
-
-  struct Shard {
-    mutable std::mutex mu;
-    size_t capacity = 0;
-    std::list<Entry> lru;  // front = most recent
-    std::unordered_map<TermIdSet, std::list<Entry>::iterator, TermIdSetHash>
-        map;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
+  struct ShardCounters {
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+    std::atomic<uint64_t> evictions{0};
   };
 
-  /// Key -> shard. Uses the upper bits of the key hash so the shard choice
-  /// stays decorrelated from the in-shard bucket choice (which uses the
-  /// low bits).
-  size_t ShardIndex(const TermIdSet& key) const {
-    uint64_t h = HashTermIds(key);
-    return static_cast<size_t>((h >> 32) ^ h) % num_shards_;
-  }
-
-  size_t capacity_;
-  size_t num_shards_;
-  std::unique_ptr<Shard[]> shards_;
+  ShardedLru<CollectionStats> lru_;
+  std::unique_ptr<ShardCounters[]> counters_;  // one per shard
 };
 
 }  // namespace csr

@@ -976,13 +976,6 @@ uint64_t CountIntersection(std::span<const PostingList* const> lists,
   return CountIntersection(refs);
 }
 
-uint64_t CountIntersection(std::vector<PostingCursor> cursors,
-                           ScanGuard* guard) {
-  std::vector<PostingRef> refs;
-  for (const PostingCursor& c : cursors) refs.push_back(c.ref());
-  return CountIntersection(refs, guard);
-}
-
 void AttrIntersectionCostDelta(TraceSpan* span, const CostCounters& after,
                                const CostCounters& before) {
   if (span == nullptr) return;

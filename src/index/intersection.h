@@ -179,11 +179,9 @@ std::string ConjunctionPlan(size_t num_lists);
 /// |∩ lists| by the conjunction engine.
 uint64_t CountIntersection(std::span<const PostingRef> lists,
                            ScanGuard* guard = nullptr);
-/// The same over plain lists (charging `cost`) or over cursors' lists.
+/// The same over plain lists, charging `cost`.
 uint64_t CountIntersection(std::span<const PostingList* const> lists,
                            CostCounters* cost = nullptr);
-uint64_t CountIntersection(std::vector<PostingCursor> cursors,
-                           ScanGuard* guard = nullptr);
 
 /// Copies the intersection-relevant cost-counter deltas accumulated since
 /// `before` onto `span` as attributes (entries_scanned, segments_touched,

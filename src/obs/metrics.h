@@ -39,10 +39,12 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value.
+/// Last-write-wins instantaneous value, or a level that concurrent
+/// writers move by deltas (Add), whose sum no race loses.
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
+  void Add(double delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

@@ -51,6 +51,19 @@ CollectionStats StraightforwardCollectionStats(
       AttrIntersectionCostDelta(span.get(), *cost, before);
     }
   }
+  stats = ContextSetStats(content_index, set, keywords, compute_tc, cost,
+                          guard, tctx);
+  if (set_out != nullptr) *set_out = std::move(set);
+  return stats;
+}
+
+CollectionStats ContextSetStats(const InvertedIndex& content_index,
+                                const ContextSet& set,
+                                std::span<const TermId> keywords,
+                                bool compute_tc, CostCounters* cost,
+                                ScanGuard* guard, TraceContext tctx) {
+  CollectionStats stats;
+  const bool tracing = tctx.active() && cost != nullptr;
   stats.cardinality = set.Size();
   stats.total_length = set.total_length();
 
@@ -64,7 +77,7 @@ CollectionStats StraightforwardCollectionStats(
       CostCounters before;
       std::string strategy;
       if (tracing) before = *cost;
-      counts = set.IntersectWith(content_index.cursor(w, cost), compute_tc,
+      counts = set.IntersectWith(content_index.ref(w, cost), compute_tc,
                                  guard, tracing ? &strategy : nullptr);
       if (tracing) {
         span.Attr("keyword", static_cast<uint64_t>(w));
@@ -77,7 +90,6 @@ CollectionStats StraightforwardCollectionStats(
     stats.df.push_back(counts.df);
     if (compute_tc) stats.tc.push_back(counts.tc);
   }
-  if (set_out != nullptr) *set_out = std::move(set);
   return stats;
 }
 

@@ -55,13 +55,28 @@ CollectionStats StraightforwardCollectionStats(
     ScanGuard* guard = nullptr, TraceContext tctx = {},
     ContextSet* set_out = nullptr);
 
+/// The statistics of the straightforward plan from an already built D_P
+/// (a ContextSet served by a cache): |D_P| and len(D_P) from the set, and
+/// each keyword's df (and tc) by one 2-way join L_w ⋈ D_P — the second
+/// half of StraightforwardCollectionStats, with the same per-keyword
+/// "intersect:df" spans, cost charges and guard ticks.
+CollectionStats ContextSetStats(const InvertedIndex& content_index,
+                                const ContextSet& set,
+                                std::span<const TermId> keywords,
+                                bool compute_tc = false,
+                                CostCounters* cost = nullptr,
+                                ScanGuard* guard = nullptr,
+                                TraceContext tctx = {});
+
 /// df(w, D_P) and (when `with_tc`) tc(w, D_P) of one keyword over one
 /// part by one (m+1)-way Conjunction of L_w with the context's predicate
 /// lists, under the year filter of `years`/`range` — no ContextSet is
-/// built. The view plans use it for keywords without a parameter column,
-/// whose short lists make driving with L_w cheaper than materializing
-/// D_P. df counts the chain's year-filtered survivors; tc reads their tfs
-/// in L_w, decoding only L_w blocks that hold one.
+/// built. The view plans use it for keywords without a parameter column
+/// while no set of the context is at hand (a context's first use, before
+/// the engine's context-set cache holds it): the short L_w drives, which
+/// costs less than materializing D_P for one query. df counts the chain's
+/// year-filtered survivors; tc reads their tfs in L_w, decoding only L_w
+/// blocks that hold one.
 KeywordCounts CountKeywordInContext(
     const InvertedIndex& content_index, const InvertedIndex& predicate_index,
     std::span<const TermId> context, TermId keyword, bool with_tc,

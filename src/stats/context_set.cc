@@ -60,26 +60,26 @@ bool ContextSet::Contains(DocId d) const {
   return lo < docs_.size() && docs_.at(lo).doc == d;
 }
 
-KeywordCounts ContextSet::IntersectWith(PostingCursor keyword, bool with_tc,
+KeywordCounts ContextSet::IntersectWith(PostingRef keyword, bool with_tc,
                                         ScanGuard* guard,
                                         std::string* strategy) const {
   KeywordCounts counts;
-  if (docs_.empty() || !keyword.valid()) return counts;
+  if (docs_.empty() || keyword.size() == 0) return counts;
   const std::span<const Posting> members = docs_.postings();
   if (strategy != nullptr) {
     *strategy = members.size() <= keyword.size() ? "blockwalk:set-drives"
                                                  : "blockwalk:keyword-drives";
   }
-  if (const CompressedPostingList* packed = keyword.packed_source()) {
+  if (keyword.packed != nullptr) {
     const RunJoinResult r =
-        JoinRunWithList(members, *packed, with_tc, keyword.cost(), guard);
+        JoinRunWithList(members, *keyword.packed, with_tc, keyword.cost, guard);
     counts.df = r.matches;
     counts.tc = r.tf_sum;
     return counts;
   }
   // A plain L_w: a two-list Conjunction, whose first step is the same
   // 2-way join (the set drives on a tie).
-  const PostingRef lists[] = {ref(keyword.cost()), keyword.ref()};
+  const PostingRef lists[] = {ref(keyword.cost), keyword};
   Conjunction conj(lists, guard);
   std::vector<uint32_t> tfs;
   for (std::vector<DocId> docs; conj.Next(docs); docs.clear()) {

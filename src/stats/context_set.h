@@ -22,18 +22,19 @@ struct KeywordCounts {
 };
 
 /// The document set D_P = L_m1 ∩ ... ∩ L_mc of one context over one index
-/// part, restricted to a year range when one is active, materialized once
-/// per query by one chain of joins (Build). Every statistic of the
-/// straightforward plan (Figure 3) derives from it: |D_P| and len(D_P) are
-/// kept at build time, and each keyword's df/tc is one 2-way join
-/// L_w ⋈ D_P instead of an (m+1)-way join over the predicate lists.
-/// Retrieval then joins the keyword lists with the set instead of
-/// re-joining the m predicate lists.
+/// part, restricted to a year range when one is active, materialized by
+/// one chain of joins (Build). Every statistic of the straightforward plan
+/// (Figure 3) derives from it: |D_P| and len(D_P) are kept at build time,
+/// and each keyword's df/tc is one 2-way join L_w ⋈ D_P instead of an
+/// (m+1)-way join over the predicate lists. Retrieval then joins the
+/// keyword lists with the set instead of re-joining the m predicate lists.
 ///
 /// The docids are stored as a plain PostingList with tf = 1, so the set
 /// joins in the conjunction engine (index/intersection.h) as one more
-/// plain list, with no third representation. A set is per query and never
-/// cached: it lives in the PreparedSearch that built it.
+/// plain list, with no third representation. A complete set is immutable,
+/// so one set can serve many queries at once: the engine's cross-query
+/// ContextSetCache (engine/context_set_cache.h) shares it by pointer, and
+/// each query's PreparedSearch holds it for as long as the query runs.
 class ContextSet {
  public:
   /// An empty, complete set (an unsatisfiable context).
@@ -64,6 +65,9 @@ class ContextSet {
   uint64_t total_length() const { return total_length_; }
   /// False when a guard tripped during Build.
   bool complete() const { return complete_; }
+  /// Approximate in-memory footprint in bytes (the member list and this
+  /// object), what a cache charges against its budget.
+  uint64_t MemoryBytes() const { return sizeof(*this) + docs_.MemoryBytes(); }
 
   /// Membership by binary search over the sorted docids.
   bool Contains(DocId d) const;
@@ -78,14 +82,14 @@ class ContextSet {
     return PostingRef{&docs_, nullptr, cost};
   }
 
-  /// df and (when `with_tc`) tc of the keyword behind `keyword` within the
-  /// set, by one 2-way join charged to the keyword cursor's cost counters:
-  /// a block walk over a compressed list (JoinRunWithList), a two-list
+  /// df and (when `with_tc`) tc of the keyword list `keyword` within the
+  /// set, by one 2-way join charged to the keyword's cost counters: a
+  /// block walk over a compressed list (JoinRunWithList), a two-list
   /// Conjunction (a search join) over a plain one. Either way `guard`
   /// ticks by the join tick rule (index/intersection.h); after a trip the
-  /// counts are partial. When `strategy` is non-null it receives which
-  /// side drove (tracing only).
-  KeywordCounts IntersectWith(PostingCursor keyword, bool with_tc,
+  /// counts are partial. Only blocks the join probes are decoded. When
+  /// `strategy` is non-null it receives which side drove (tracing only).
+  KeywordCounts IntersectWith(PostingRef keyword, bool with_tc,
                               ScanGuard* guard = nullptr,
                               std::string* strategy = nullptr) const;
 

@@ -469,6 +469,10 @@ TEST(AdaptiveEngineTest, MidEvictionQueriesStayIdentical) {
   ContextQuery qb{{60, 61}, {1}};
   EngineConfig cfg = AdaptiveConfig();
   cfg.adaptive_view_budget_bytes = TightBudget(corpus, qa, qb);
+  // b's score grows by the measured cost of its straightforward misses; a
+  // context-set cache hit would shrink that cost after b's first query
+  // and stretch the flip past the loop below on a slow (sanitized) build.
+  cfg.context_set_cache_bytes = 0;
   auto engine = ContextSearchEngine::Build(corpus, cfg).value();
   auto ref_a = engine->Search(qa, EvaluationMode::kContextStraightforward);
   auto ref_b = engine->Search(qb, EvaluationMode::kContextStraightforward);
@@ -516,6 +520,7 @@ TEST(AdaptiveEngineTest, StatsCacheServesExactStatsAcrossViewFlips) {
   EngineConfig cfg = AdaptiveConfig();
   cfg.adaptive_view_budget_bytes = TightBudget(corpus, qa, qb);
   cfg.stats_cache_capacity = 256;
+  cfg.context_set_cache_bytes = 0;  // misses fund the flips, as above
   auto engine = ContextSearchEngine::Build(corpus, cfg).value();
   // The reference comes from a separate engine: the stats cache is shared
   // across evaluation modes, so a straightforward query here would

@@ -408,11 +408,14 @@ TEST(QueryExecutorTest, ArmedFaultFiresExactlyOnceAcrossThreads) {
 // std::thread, including concurrent degradation-counter updates.
 TEST(ConcurrencyStressTest, DirectSearchFromManyThreads) {
   EngineConfig ecfg;
-  // Cache off: a cache hit skips the stats phase's budget ticks, so with
-  // a cache the degraded-or-not outcome of a query would depend on
-  // timing-dependent cache state and the counter check below would be
-  // meaningless. Cache-churn concurrency is TinyCacheEvictionChurn's job.
+  // Caches off: a stats-cache or context-set-cache hit skips budget ticks
+  // (the stats phase's, or the context-set build's), so with a cache the
+  // degraded-or-not outcome of a query would depend on timing-dependent
+  // cache state and the counter check below would be meaningless.
+  // Cache-churn concurrency is TinyCacheEvictionChurn's and
+  // context_set_cache_test's job.
   ecfg.posting_scan_budget = 500;
+  ecfg.context_set_cache_bytes = 0;
   auto engine = ContextSearchEngine::Build(SmallCorpus(), ecfg).value();
   ASSERT_TRUE(engine->MaterializeViews({ViewDefinition{{0, 1, 2, 3}}}).ok());
   std::vector<ContextQuery> queries = FixedWorkload(*engine, 16);

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "corpus/generator.h"
+#include "index/codec.h"
+#include "index/intersection.h"
 #include "index/inverted_index.h"
 #include "stats/collector.h"
 #include "stats/context_set.h"
@@ -206,7 +208,7 @@ TEST_P(ContextSetDifferentialTest, MatchesDocumentScan) {
         collector_df[i] += s.df[i];
         collector_tc[i] += s.tc[i];
         KeywordCounts with_set = set.IntersectWith(
-            part->content.cursor(q.keywords[i], nullptr), true);
+            part->content.ref(q.keywords[i], nullptr), true);
         set_df[i] += with_set.df;
         set_tc[i] += with_set.tc;
         KeywordCounts with_lists = CountKeywordInContext(
@@ -254,7 +256,7 @@ TEST(ContextSetTest, EmptyAndUnknownContextsAreEmptyAndComplete) {
   EXPECT_EQ(empty.total_length(), 0u);
   EXPECT_TRUE(empty.complete());
   EXPECT_FALSE(empty.Contains(0));
-  KeywordCounts c = empty.IntersectWith(p.content.cursor(1), true);
+  KeywordCounts c = empty.IntersectWith(p.content.ref(1), true);
   EXPECT_EQ(c.df, 0u);
   EXPECT_EQ(c.tc, 0u);
 }
@@ -306,10 +308,10 @@ TEST(ContextSetTest, JoinTicksAndCountsMatchAcrossRepresentations) {
       for (bool with_tc : {false, true}) {
         ScanGuard g_plain(0, 0);
         KeywordCounts want =
-            set.IntersectWith(p.content.cursor(w), with_tc, &g_plain);
+            set.IntersectWith(p.content.ref(w), with_tc, &g_plain);
         for (const InvertedIndex* index : {&packed, &bitmap}) {
           ScanGuard g(0, 0);
-          KeywordCounts got = set.IntersectWith(index->cursor(w), with_tc, &g);
+          KeywordCounts got = set.IntersectWith(index->ref(w), with_tc, &g);
           EXPECT_EQ(got.df, want.df) << "keyword " << w;
           if (with_tc) {
             EXPECT_EQ(got.tc, want.tc) << "keyword " << w;
@@ -321,8 +323,8 @@ TEST(ContextSetTest, JoinTicksAndCountsMatchAcrossRepresentations) {
           const uint64_t budget = g_plain.ticks() / 2;
           ScanGuard t_plain(0, budget);
           ScanGuard t_packed(0, budget);
-          set.IntersectWith(p.content.cursor(w), with_tc, &t_plain);
-          set.IntersectWith(bitmap.cursor(w), with_tc, &t_packed);
+          set.IntersectWith(p.content.ref(w), with_tc, &t_plain);
+          set.IntersectWith(bitmap.ref(w), with_tc, &t_packed);
           EXPECT_TRUE(t_plain.tripped());
           EXPECT_TRUE(t_packed.tripped());
           EXPECT_EQ(t_plain.ticks(), t_packed.ticks());
@@ -341,6 +343,56 @@ TEST(ContextSetTest, JoinTicksAndCountsMatchAcrossRepresentations) {
 // plain, kAuto and kBitmapPreferred lists must agree on |D_P|, len(D_P)
 // and ticks(), and a budget or a one-shot fault must stop every build on
 // the same tick.
+// The df join takes the keyword's list as a PostingRef, which decodes
+// nothing by itself (a PostingCursor decodes its list's first block when
+// it is made). Over a set that drives in one window, with FOR blocks only,
+// the join decodes exactly the blocks a two-list Conjunction over the same
+// refs decodes: the blocks the members fall in, and never block 0, which
+// no member reaches.
+TEST(ContextSetTest, JoinDecodesNoBlockBeyondTheConjunction) {
+  IndexBuilder content_builder, predicate_builder;
+  for (DocId d = 0; d < 30000; ++d) {
+    std::vector<TermId> tokens;
+    if (d % 3 == 0) tokens.push_back(1);
+    std::vector<TermId> annotations;
+    if (d >= 20000 && (d - 20000) % 7 == 0 && d < 20000 + 7 * 500) {
+      annotations.push_back(0);
+    }
+    ASSERT_TRUE(content_builder.AddDocument(d, tokens).ok());
+    ASSERT_TRUE(predicate_builder.AddDocument(d, annotations).ok());
+  }
+  InvertedIndex content = content_builder.Build();
+  content.Compact(0, CodecPolicy::kForOnly);
+  const InvertedIndex predicate = predicate_builder.Build();
+  const TermId context[] = {0};
+  const ContextSet set = ContextSet::Build(content, predicate, context);
+  ASSERT_EQ(set.Size(), 500u);
+  const PostingRef keyword = content.ref(1);
+  ASSERT_NE(keyword.packed, nullptr);
+  ASSERT_LE(set.Size(), Conjunction::kWindow);
+
+  auto decoded = [] { return SnapshotDecodeTallies().blocks_decoded; };
+  uint64_t before = decoded();
+  const KeywordCounts got = set.IntersectWith(keyword, /*with_tc=*/false);
+  const uint64_t join_blocks = decoded() - before;
+
+  before = decoded();
+  const PostingRef lists[] = {set.ref(nullptr), keyword};
+  const uint64_t want = Conjunction(lists).Count();
+  const uint64_t conj_blocks = decoded() - before;
+
+  // The members 20000 + 7k with k ≡ 1 (mod 3) are multiples of 3.
+  EXPECT_EQ(got.df, want);
+  EXPECT_EQ(got.df, 167u);
+  EXPECT_GT(join_blocks, 0u);
+  EXPECT_EQ(join_blocks, conj_blocks);
+
+  // What a cursor would have added: its first block, decoded on creation.
+  before = decoded();
+  const PostingCursor cursor = content.cursor(1);
+  EXPECT_EQ(decoded() - before, 1u);
+}
+
 TEST(ContextSetTest, BuildTicksMatchAcrossRepresentations) {
   const Corpus corpus = TestCorpus();
   const CorpusConfig& cc = corpus.config;

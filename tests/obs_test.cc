@@ -331,6 +331,36 @@ TEST(MetricsExportTest, SnapshotJsonRoundTripsLegacyCounters) {
       << json.substr(cpos, 24);
 }
 
+// The context-set cache keeps its counters and bytes gauge in the
+// registry itself (no sample callback): they round-trip through the
+// snapshot JSON and equal the cache's accessors, which read them back.
+TEST(MetricsExportTest, ContextSetCacheInstrumentsRoundTrip) {
+  auto engine = ContextSearchEngine::Build(ObsCorpus(), {}).value();
+  ASSERT_TRUE(engine->MaterializeViews({ViewDefinition{{0, 1, 2, 3}}}).ok());
+  // No view covers {5}: the straightforward plan serves it, caching D_P on
+  // the first query and hitting it after.
+  const ContextQuery q = ObsQuery(*engine, 5);
+  for (int i = 0; i < 3; ++i) {
+    auto r = engine->Search(q, EvaluationMode::kContextWithViews);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(r->metrics.used_view);
+    EXPECT_EQ(r->metrics.context_set_hits, i == 0 ? 0u : 1u);
+  }
+  const ContextSetCache* sets = engine->context_set_cache();
+  ASSERT_NE(sets, nullptr);
+  EXPECT_EQ(sets->hits(), 2u);
+  EXPECT_EQ(sets->misses(), 1u);
+  EXPECT_GT(sets->bytes(), 0u);
+  std::string json = engine->MetricsSnapshot().ToJson();
+  std::map<std::string, double> counters = Section(json, "counters");
+  std::map<std::string, double> gauges = Section(json, "gauges");
+  EXPECT_EQ(counters.at("engine.context_set_cache.hits"), sets->hits());
+  EXPECT_EQ(counters.at("engine.context_set_cache.misses"), sets->misses());
+  EXPECT_EQ(counters.at("engine.context_set_cache.evictions"),
+            sets->evictions());
+  EXPECT_EQ(gauges.at("engine.context_set_cache.bytes"), sets->bytes());
+}
+
 TEST(MetricsExportTest, MetricsDisabledFreezesEngineInstruments) {
   auto engine = ContextSearchEngine::Build(ObsCorpus(), {}).value();
   ContextQuery q = ObsQuery(*engine, 1);

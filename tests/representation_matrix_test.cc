@@ -133,11 +133,9 @@ TEST(RepresentationMatrixTest, AllPairsMatchSetIntersectionReference) {
                              PolicyName(qb) + "]";
 
           // Guard-free count: routes through the pairwise block kernel.
-          std::vector<PostingCursor> cursors;
-          cursors.emplace_back(&ca, nullptr);
-          cursors.emplace_back(&cb, nullptr);
-          EXPECT_EQ(CountIntersection(std::move(cursors)), ref.size())
-              << what;
+          const PostingRef packed[] = {{nullptr, &ca, nullptr},
+                                       {nullptr, &cb, nullptr}};
+          EXPECT_EQ(CountIntersection(packed), ref.size()) << what;
 
           // Scan form must yield the exact docids, in order.
           std::vector<DocId> got;
@@ -147,18 +145,13 @@ TEST(RepresentationMatrixTest, AllPairsMatchSetIntersectionReference) {
 
           // Guarded path: same count, charging the guard.
           ScanGuard guard(0.0, 0);
-          std::vector<PostingCursor> guarded;
-          guarded.emplace_back(&ca, nullptr);
-          guarded.emplace_back(&cb, nullptr);
-          EXPECT_EQ(CountIntersection(std::move(guarded), &guard),
-                    ref.size())
+          EXPECT_EQ(CountIntersection(packed, &guard), ref.size())
               << what << " (guarded)";
 
-          // Mixed representation: plain cursor against compressed.
-          std::vector<PostingCursor> mixed;
-          mixed.emplace_back(&pa, nullptr);
-          mixed.emplace_back(&cb, nullptr);
-          EXPECT_EQ(CountIntersection(std::move(mixed)), ref.size())
+          // Mixed representation: plain list against compressed.
+          const PostingRef mixed[] = {{&pa, nullptr, nullptr},
+                                      {nullptr, &cb, nullptr}};
+          EXPECT_EQ(CountIntersection(mixed), ref.size())
               << what << " (mixed)";
         }
       }

@@ -286,10 +286,8 @@ TEST(SimdIntersectTest, KernelChoicesRecorded) {
   const CompressedPostingList sparse = packed(100, 128);
   const CompressedPostingList dense = packed(12800, 1);
   for (auto [x, y] : {std::pair{&a, &near_eq}, std::pair{&sparse, &dense}}) {
-    std::vector<PostingCursor> cursors;
-    cursors.emplace_back(x, nullptr);
-    cursors.emplace_back(y, nullptr);
-    (void)CountIntersection(std::move(cursors));
+    const PostingRef lists[] = {{nullptr, x, nullptr}, {nullptr, y, nullptr}};
+    (void)CountIntersection(lists);
   }
   const IntersectTallies t = SnapshotIntersectTallies();
   EXPECT_GE(t.pairwise, 1u);    // near-equal pair
