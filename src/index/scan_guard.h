@@ -90,6 +90,9 @@ class ScanGuard {
   }
 
   bool tripped() const { return trip_ != Trip::kNone; }
+  /// True when a deadline or a posting budget limits the scan (an armed
+  /// fault can trip any guard).
+  bool bounded() const { return deadline_ms_ > 0 || budget_ != 0; }
   Trip trip() const { return trip_; }
   uint64_t ticks() const { return ticks_; }
 
