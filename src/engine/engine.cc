@@ -470,9 +470,9 @@ void ContextSearchEngine::CompactIndexes() {
   AdaptiveExclusiveGuard adaptive_guard(adaptive_.get());
   content_index_.Compact(/*block_size=*/0, config_.codec_policy);
   predicate_index_.Compact(/*block_size=*/0, config_.codec_policy);
-  catalog_.CompactAll();
   // Sealed extras are compacted at seal time and the write buffer stays
-  // uncompressed by design, so only the base needs work here.
+  // uncompressed by design, so only the base needs work here (views are
+  // compacted whenever they are built).
 }
 
 // -- Live-set plumbing (DESIGN.md §14) -----------------------------------
@@ -607,7 +607,6 @@ std::shared_ptr<const AdaptiveView> ContextSearchEngine::BuildAdaptiveView(
     MaterializedView base = BuildViewFromIndexes(
         def, ViewParams(), tracked_, content_index_, predicate_index_,
         years_);
-    base.Compact();
     av->base = std::make_shared<const MaterializedView>(std::move(base));
   }
   av->bytes = av->base->MemoryBytes();
@@ -632,7 +631,6 @@ std::shared_ptr<const AdaptiveView> ContextSearchEngine::BuildAdaptiveView(
       MaterializedView dv = BuildViewFromIndexes(
           def, ViewParams(), tracked_, es->index.content, es->index.predicate,
           es->index.years);
-      dv.Compact();
       delta.view = std::make_shared<const MaterializedView>(std::move(dv));
     }
     av->bytes += delta.view->MemoryBytes();
@@ -660,14 +658,14 @@ Result<std::shared_ptr<EngineSegment>> ContextSearchEngine::BuildSegmentLocked(
   segment->index.base = first;
   segment->index.num_docs = end - first;
   segment->index.sealed = seal;
-  // Deltas are built from the uncompressed index (DocParamTable walks
-  // posting lists), then everything compacts when the segment seals.
+  // Deltas are built (compacted) from the uncompressed index, since
+  // DocParamTable walks posting lists; the postings compact when the
+  // segment seals.
   segment->view_deltas =
       BuildViewDeltasLocked(segment->index.content, first, end);
   if (seal && config_.compressed_postings) {
     segment->index.content.Compact(/*block_size=*/0, config_.codec_policy);
     segment->index.predicate.Compact(/*block_size=*/0, config_.codec_policy);
-    for (MaterializedView& v : segment->view_deltas) v.Compact();
   }
   return segment;
 }
@@ -769,7 +767,6 @@ bool ContextSearchEngine::MergeOnce() {
   if (config_.compressed_postings) {
     merged->index.content.Compact(/*block_size=*/0, config_.codec_policy);
     merged->index.predicate.Compact(/*block_size=*/0, config_.codec_policy);
-    for (MaterializedView& v : merged->view_deltas) v.Compact();
   }
 
   auto next = std::make_shared<LiveSet>();
@@ -824,7 +821,6 @@ Status ContextSearchEngine::FlattenSegments() {
       hot_.view_delta_merges->Increment(views.size());
     }
     for (MaterializedView& v : views) catalog_.Add(std::move(v));
-    if (config_.compressed_postings) catalog_.CompactAll();
   }
 
   // The derived artifacts cover the whole collection again.
@@ -883,9 +879,6 @@ Status ContextSearchEngine::InstallSealedSegment(IndexSegment segment) {
   } else {
     es->view_deltas = BuildViewDeltasLocked(es->index.content, first,
                                             first + es->index.num_docs);
-  }
-  if (config_.compressed_postings) {
-    for (MaterializedView& v : es->view_deltas) v.Compact();
   }
   next_segment_id_ = std::max(next_segment_id_, es->index.id + 1);
 
@@ -951,7 +944,6 @@ Status ContextSearchEngine::MaterializeViews(std::vector<ViewDefinition> defs) {
   std::vector<MaterializedView> views = builder.BuildAll(defs);
   catalog_ = ViewCatalog();
   for (MaterializedView& v : views) catalog_.Add(std::move(v));
-  if (config_.compressed_postings) catalog_.CompactAll();
   return Status::OK();
 }
 
@@ -1021,7 +1013,6 @@ Status ContextSearchEngine::InstallCatalog(
   }
   degradation_.views_quarantined += catalog.quarantined().size();
   catalog_ = std::move(catalog);
-  if (config_.compressed_postings) catalog_.CompactAll();
   return Status::OK();
 }
 

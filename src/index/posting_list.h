@@ -77,6 +77,14 @@ class PostingList {
            skip_max_tf_.size() * sizeof(uint32_t);
   }
 
+  /// Bytes actually allocated (capacities, so a Reserve beyond the final
+  /// size counts).
+  uint64_t AllocatedBytes() const {
+    return postings_.capacity() * sizeof(Posting) +
+           skip_.capacity() * sizeof(DocId) +
+           skip_max_tf_.capacity() * sizeof(uint32_t);
+  }
+
   /// Block-max probe mirroring CompressedPostingList::BlockBound: finds
   /// the segment holding the first posting with docid >= target (searching
   /// forward from segment `hint`) and reports its last docid and max tf.

@@ -65,9 +65,13 @@ class ContextSet {
   uint64_t total_length() const { return total_length_; }
   /// False when a guard tripped during Build.
   bool complete() const { return complete_; }
-  /// Approximate in-memory footprint in bytes (the member list and this
-  /// object), what a cache charges against its budget.
-  uint64_t MemoryBytes() const { return sizeof(*this) + docs_.MemoryBytes(); }
+  /// Bytes allocated for the member list and this object, what a cache
+  /// charges against its budget. Build reserves the shortest predicate
+  /// list's length, which a multi-predicate or year-restricted set may not
+  /// fill, so the reservation is charged, not the size (DESIGN.md §18).
+  uint64_t MemoryBytes() const {
+    return sizeof(*this) + docs_.AllocatedBytes();
+  }
 
   /// Membership by binary search over the sorted docids.
   bool Contains(DocId d) const;

@@ -174,33 +174,18 @@ class ViewSerializer {
     w.PutVarint(v.options_.year_bucket_size);
     w.PutU32(v.num_tracked_);
     w.PutVarint(v.NumTuples());
-    auto put_row = [&](const MaterializedView::TupleKey& key, uint64_t count,
-                       uint64_t sum_len, std::span<const uint32_t> df,
-                       std::span<const uint32_t> tc) {
+    // Views v3 stores rows, not columns: each row is rebuilt from the
+    // column store, so the bytes match a row-by-row encoding of the same
+    // sorted rows.
+    v.ForEachRow([&](const MaterializedView::TupleKey& key,
+                     const MaterializedView::Row& row) {
       w.PutVarint(key.bucket);
       w.PutVarintVector(key.sig.raw_words());
-      w.PutVarint(count);
-      w.PutVarint(sum_len);
-      w.PutVarint(df.size());
-      for (uint32_t x : df) w.PutVarint(x);
-      w.PutVarint(tc.size());
-      for (uint32_t x : tc) w.PutVarint(x);
-    };
-    if (v.compacted_) {
-      const MaterializedView::FlatRows& f = v.flat_;
-      size_t stride = v.num_tracked_;
-      for (size_t r = 0; r < f.keys.size(); ++r) {
-        std::span<const uint32_t> df;
-        std::span<const uint32_t> tc;
-        if (!f.df.empty()) df = {f.df.data() + r * stride, stride};
-        if (!f.tc.empty()) tc = {f.tc.data() + r * stride, stride};
-        put_row(f.keys[r], f.counts[r], f.sum_lens[r], df, tc);
-      }
-    } else {
-      for (const auto& [key, row] : v.rows_) {
-        put_row(key, row.count, row.sum_len, row.df, row.tc);
-      }
-    }
+      w.PutVarint(row.count);
+      w.PutVarint(row.sum_len);
+      w.PutVarintVector(row.df);
+      w.PutVarintVector(row.tc);
+    });
   }
 
   static Result<MaterializedView> Load(BinaryReader& r) {
@@ -219,6 +204,7 @@ class ViewSerializer {
 
     uint64_t num_rows;
     CSR_RETURN_NOT_OK(r.GetVarint(&num_rows));
+    v.compacted_ = false;  // rows arrive in any order: fold, then compact
     size_t expected_words =
         (v.def_.keyword_columns.size() + 63) / 64;
     for (uint64_t i = 0; i < num_rows; ++i) {
@@ -226,7 +212,9 @@ class ViewSerializer {
       CSR_RETURN_NOT_OK(r.GetVarint(&bucket));
       std::vector<uint64_t> words;
       CSR_RETURN_NOT_OK(r.GetVarintVector(&words));
-      if (words.size() != expected_words) {
+      const uint32_t tail_bits = v.def_.num_columns() % 64;
+      if (words.size() != expected_words ||
+          (tail_bits != 0 && (words.back() >> tail_bits) != 0)) {
         return Status::InvalidArgument("corrupt view row signature");
       }
       MaterializedView::Row row;
@@ -234,12 +222,17 @@ class ViewSerializer {
       CSR_RETURN_NOT_OK(r.GetVarint(&row.sum_len));
       CSR_RETURN_NOT_OK(r.GetVarintVector(&row.df));
       CSR_RETURN_NOT_OK(r.GetVarintVector(&row.tc));
+      if (row.df.size() != (track_df != 0 ? num_tracked : 0) ||
+          row.tc.size() != (track_tc != 0 ? num_tracked : 0)) {
+        return Status::InvalidArgument("corrupt view parameter columns");
+      }
       v.rows_.emplace(
           MaterializedView::TupleKey{
               BitSignature::FromWords(std::move(words)),
               static_cast<uint16_t>(bucket)},
           std::move(row));
     }
+    v.Compact();
     return v;
   }
 };

@@ -1,7 +1,7 @@
 #include "views/materialized_view.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cassert>
 
 namespace csr {
 
@@ -35,40 +35,22 @@ MaterializedView MaterializedView::Clone() const {
   MaterializedView copy(def_, options_, num_tracked_);
   copy.rows_ = rows_;
   copy.compacted_ = compacted_;
-  copy.flat_ = flat_;
+  copy.store_ = store_;
   return copy;
 }
 
 void MaterializedView::MergeFrom(const MaterializedView& other) {
-  if (compacted_) Uncompact();
-  auto upsert = [&](const TupleKey& key, uint64_t count, uint64_t sum_len,
-                    const uint32_t* df_row, const uint32_t* tc_row) {
-    Row& row = rows_[key];
-    if (row.count == 0 && options_.track_df) row.df.assign(num_tracked_, 0);
-    if (row.count == 0 && options_.track_tc) row.tc.assign(num_tracked_, 0);
-    row.count += count;
-    row.sum_len += sum_len;
-    if (options_.track_df && df_row != nullptr) {
-      for (uint32_t s = 0; s < num_tracked_; ++s) row.df[s] += df_row[s];
-    }
-    if (options_.track_tc && tc_row != nullptr) {
-      for (uint32_t s = 0; s < num_tracked_; ++s) row.tc[s] += tc_row[s];
-    }
-  };
-  if (other.compacted_) {
-    const FlatRows& f = other.flat_;
-    for (size_t r = 0; r < f.keys.size(); ++r) {
-      upsert(f.keys[r], f.counts[r], f.sum_lens[r],
-             f.df.empty() ? nullptr : f.df.data() + r * num_tracked_,
-             f.tc.empty() ? nullptr : f.tc.data() + r * num_tracked_);
-    }
-  } else {
-    for (const auto& [key, row] : other.rows_) {
-      upsert(key, row.count, row.sum_len,
-             row.df.empty() ? nullptr : row.df.data(),
-             row.tc.empty() ? nullptr : row.tc.data());
-    }
-  }
+  Uncompact();
+  other.ForEachRow([&](TupleKey key, Row row) {
+    auto [it, inserted] = rows_.try_emplace(std::move(key), std::move(row));
+    if (inserted) return;
+    Row& mine = it->second;
+    mine.count += row.count;
+    mine.sum_len += row.sum_len;
+    for (size_t s = 0; s < row.df.size(); ++s) mine.df[s] += row.df[s];
+    for (size_t s = 0; s < row.tc.size(); ++s) mine.tc[s] += row.tc[s];
+  });
+  Compact();
 }
 
 bool MaterializedView::RangeAnswerable(YearRange range) const {
@@ -85,6 +67,7 @@ MaterializedView::StatsResult MaterializedView::ComputeStats(
     std::span<const TermId> context, std::span<const TermId> keywords,
     const TrackedKeywords& tracked, CostCounters* cost,
     YearRange range) const {
+  assert(compacted_);
   StatsResult out;
   out.df.assign(keywords.size(), 0);
   out.tc.assign(keywords.size(), 0);
@@ -95,60 +78,70 @@ MaterializedView::StatsResult MaterializedView::ComputeStats(
     out.range_answerable = false;
     return out;
   }
-  uint16_t bucket_lo = 0;
-  uint16_t bucket_hi = UINT16_MAX;
-  if (range.active()) {
-    bucket_lo = static_cast<uint16_t>(range.min_year /
-                                      options_.year_bucket_size);
-    bucket_hi = static_cast<uint16_t>(range.max_year /
-                                      options_.year_bucket_size);
-  }
 
-  // Which keywords have a parameter column in this view.
-  std::vector<int32_t> slots(keywords.size(), -1);
+  // Which keywords have a parameter column in this view, and where.
+  const ColumnStore& s = store_;
+  struct Param {
+    size_t i;
+    const uint32_t* df;
+    const uint32_t* tc;
+  };
+  std::vector<Param> params;
   for (size_t i = 0; i < keywords.size(); ++i) {
     int32_t slot = tracked.SlotOf(keywords[i]);
-    slots[i] = slot;
     out.covered[i] = slot >= 0 && (options_.track_df || options_.track_tc);
+    if (!out.covered[i]) continue;
+    size_t at = static_cast<size_t>(slot) * s.rows;
+    params.push_back({i, s.df.empty() ? nullptr : s.df.data() + at,
+                      s.tc.empty() ? nullptr : s.tc.data() + at});
   }
 
-  // Build the probe mask for P.
-  BitSignature mask(def_.num_columns());
+  // P's row bitmaps.
+  std::vector<const uint64_t*> columns;
+  columns.reserve(context.size());
   for (TermId m : context) {
     int32_t bit = def_.BitOf(m);
     if (bit < 0) return out;  // unreachable given Covers(context)
-    mask.Set(static_cast<uint32_t>(bit));
+    columns.push_back(s.bitmaps.data() + static_cast<size_t>(bit) * s.words);
   }
 
-  // Full scan of the view (Theorem 4.2), over whichever row store is live.
-  auto fold = [&](const TupleKey& key, uint64_t count, uint64_t sum_len,
-                  const uint32_t* df_row, const uint32_t* tc_row) {
-    if (cost != nullptr) cost->view_tuples_scanned++;
-    if (key.bucket < bucket_lo || key.bucket > bucket_hi) return;
-    if (!key.sig.ContainsAll(mask)) return;
-    out.cardinality += count;
-    out.total_length += sum_len;
-    for (size_t i = 0; i < keywords.size(); ++i) {
-      if (slots[i] < 0) continue;
-      if (options_.track_df && df_row != nullptr) {
-        out.df[i] += df_row[slots[i]];
-      }
-      if (options_.track_tc && tc_row != nullptr) {
-        out.tc[i] += tc_row[slots[i]];
-      }
+  // Rows are bucket-sorted, so a bucket range is one row interval.
+  if (cost != nullptr) cost->view_tuples_scanned += s.rows;
+  size_t lo = 0;
+  size_t hi = s.rows;
+  if (range.active()) {
+    auto lo_it = std::lower_bound(
+        s.buckets.begin(), s.buckets.end(),
+        static_cast<uint16_t>(range.min_year / options_.year_bucket_size));
+    auto hi_it = std::upper_bound(
+        lo_it, s.buckets.end(),
+        static_cast<uint16_t>(range.max_year / options_.year_bucket_size));
+    lo = static_cast<size_t>(lo_it - s.buckets.begin());
+    hi = static_cast<size_t>(hi_it - s.buckets.begin());
+  }
+  if (lo >= hi) return out;
+
+  // AND the bitmaps word by word, masking the interval's edge words, and
+  // fold only the matching rows.
+  const size_t first_word = lo / 64;
+  const size_t last_word = (hi - 1) / 64;
+  for (size_t w = first_word; w <= last_word; ++w) {
+    uint64_t bits = ~0ULL;
+    if (w == first_word) bits &= ~0ULL << (lo % 64);
+    if (w == last_word) bits &= ~0ULL >> (63 - (hi - 1) % 64);
+    for (const uint64_t* column : columns) {
+      bits &= column[w];
+      if (bits == 0) break;
     }
-  };
-  if (compacted_) {
-    for (size_t r = 0; r < flat_.keys.size(); ++r) {
-      fold(flat_.keys[r], flat_.counts[r], flat_.sum_lens[r],
-           flat_.df.empty() ? nullptr : flat_.df.data() + r * num_tracked_,
-           flat_.tc.empty() ? nullptr : flat_.tc.data() + r * num_tracked_);
-    }
-  } else {
-    for (const auto& [key, row] : rows_) {
-      fold(key, row.count, row.sum_len,
-           row.df.empty() ? nullptr : row.df.data(),
-           row.tc.empty() ? nullptr : row.tc.data());
+    while (bits != 0) {
+      size_t r = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+      bits &= bits - 1;
+      out.cardinality += s.counts[r];
+      out.total_length += s.sum_lens[r];
+      for (const Param& p : params) {
+        if (p.df != nullptr) out.df[p.i] += p.df[r];
+        if (p.tc != nullptr) out.tc[p.i] += p.tc[r];
+      }
     }
   }
   return out;
@@ -156,14 +149,9 @@ MaterializedView::StatsResult MaterializedView::ComputeStats(
 
 void MaterializedView::Compact() {
   if (compacted_) return;
-  // A view rebuilt after a corrupt-snapshot fallback may carry stale
-  // flat-row scratch from before the rebuild; re-compaction must flatten
-  // only rows_, or the appends below would duplicate tuples and the
-  // second Compact of an idempotence round-trip would diverge byte-wise.
-  flat_ = FlatRows();
   // Sort by (bucket, signature words) so the compacted order — and
   // therefore serialized snapshots — is deterministic, unlike hash-map
-  // iteration.
+  // iteration, and so every bucket range is one row interval.
   std::vector<const std::pair<const TupleKey, Row>*> sorted;
   sorted.reserve(rows_.size());
   for (const auto& kv : rows_) sorted.push_back(&kv);
@@ -174,69 +162,107 @@ void MaterializedView::Compact() {
     return a->first.sig.raw_words() < b->first.sig.raw_words();
   });
 
-  size_t n = sorted.size();
-  flat_.keys.reserve(n);
-  flat_.counts.reserve(n);
-  flat_.sum_lens.reserve(n);
-  if (options_.track_df) flat_.df.reserve(n * num_tracked_);
-  if (options_.track_tc) flat_.tc.reserve(n * num_tracked_);
-  for (const auto* kv : sorted) {
-    const Row& row = kv->second;
-    flat_.keys.push_back(kv->first);
-    flat_.counts.push_back(row.count);
-    flat_.sum_lens.push_back(row.sum_len);
-    if (options_.track_df) {
-      if (row.df.empty()) {
-        flat_.df.insert(flat_.df.end(), num_tracked_, 0);
-      } else {
-        flat_.df.insert(flat_.df.end(), row.df.begin(), row.df.end());
+  const size_t n = sorted.size();
+  ColumnStore s;
+  s.rows = n;
+  s.words = (n + 63) / 64;
+  s.bitmaps.assign(def_.num_columns() * s.words, 0);
+  if (options_.year_bucket_size > 0) s.buckets.resize(n);
+  s.counts.resize(n);
+  s.sum_lens.resize(n);
+  if (options_.track_df) s.df.assign(size_t{num_tracked_} * n, 0);
+  if (options_.track_tc) s.tc.assign(size_t{num_tracked_} * n, 0);
+  for (size_t r = 0; r < n; ++r) {
+    const TupleKey& key = sorted[r]->first;
+    const std::vector<uint64_t>& words = key.sig.raw_words();
+    for (size_t k = 0; k < words.size(); ++k) {
+      for (uint64_t bits = words[k]; bits != 0; bits &= bits - 1) {
+        size_t c = k * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+        s.bitmaps[c * s.words + r / 64] |= 1ULL << (r % 64);
       }
     }
-    if (options_.track_tc) {
-      if (row.tc.empty()) {
-        flat_.tc.insert(flat_.tc.end(), num_tracked_, 0);
-      } else {
-        flat_.tc.insert(flat_.tc.end(), row.tc.begin(), row.tc.end());
-      }
-    }
+    if (!s.buckets.empty()) s.buckets[r] = key.bucket;
+    s.counts[r] = sorted[r]->second.count;
+    s.sum_lens[r] = sorted[r]->second.sum_len;
   }
+  // Transpose the parameter rows into columns a tile of rows at a time,
+  // so each slot's writes for a tile share one cache line.
+  constexpr size_t kTile = 16;
+  auto transpose = [&](std::vector<uint32_t>& column,
+                       std::vector<uint32_t> Row::*field) {
+    if (column.empty()) return;
+    const uint32_t* src[kTile];
+    for (size_t r0 = 0; r0 < n; r0 += kTile) {
+      const size_t tile = std::min(kTile, n - r0);
+      for (size_t t = 0; t < tile; ++t) {
+        src[t] = (sorted[r0 + t]->second.*field).data();
+      }
+      for (uint32_t slot = 0; slot < num_tracked_; ++slot) {
+        uint32_t* dst = column.data() + size_t{slot} * n + r0;
+        for (size_t t = 0; t < tile; ++t) dst[t] = src[t][slot];
+      }
+    }
+  };
+  transpose(s.df, &Row::df);
+  transpose(s.tc, &Row::tc);
+  store_ = std::move(s);
   rows_ = {};
   compacted_ = true;
 }
 
-void MaterializedView::Uncompact() {
-  if (!compacted_) return;
-  rows_.reserve(flat_.keys.size());
-  for (size_t r = 0; r < flat_.keys.size(); ++r) {
-    Row& row = rows_[flat_.keys[r]];
-    row.count = flat_.counts[r];
-    row.sum_len = flat_.sum_lens[r];
-    if (!flat_.df.empty()) {
-      auto it = flat_.df.begin() + static_cast<ptrdiff_t>(r * num_tracked_);
-      row.df.assign(it, it + num_tracked_);
-    }
-    if (!flat_.tc.empty()) {
-      auto it = flat_.tc.begin() + static_cast<ptrdiff_t>(r * num_tracked_);
-      row.tc.assign(it, it + num_tracked_);
+void MaterializedView::ForEachRow(
+    const std::function<void(TupleKey, Row)>& fn) const {
+  assert(compacted_);
+  const ColumnStore& s = store_;
+  // Row r's signature words, from the set bits of every column bitmap.
+  const size_t sig_words = (def_.num_columns() + 63) / 64;
+  std::vector<uint64_t> sigs(s.rows * sig_words, 0);
+  for (size_t c = 0; c < def_.num_columns(); ++c) {
+    const uint64_t* bitmap = s.bitmaps.data() + c * s.words;
+    for (size_t w = 0; w < s.words; ++w) {
+      for (uint64_t bits = bitmap[w]; bits != 0; bits &= bits - 1) {
+        size_t r = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+        sigs[r * sig_words + c / 64] |= 1ULL << (c % 64);
+      }
     }
   }
-  flat_ = FlatRows();
+  auto gather = [&](const std::vector<uint32_t>& column, size_t r) {
+    std::vector<uint32_t> cells;
+    if (column.empty()) return cells;
+    cells.resize(num_tracked_);
+    for (uint32_t slot = 0; slot < num_tracked_; ++slot) {
+      cells[slot] = column[slot * s.rows + r];
+    }
+    return cells;
+  };
+  for (size_t r = 0; r < s.rows; ++r) {
+    const uint64_t* words = sigs.data() + r * sig_words;
+    TupleKey key{BitSignature::FromWords({words, words + sig_words}),
+                 s.buckets.empty() ? uint16_t{0} : s.buckets[r]};
+    fn(std::move(key), Row{s.counts[r], s.sum_lens[r], gather(s.df, r),
+                           gather(s.tc, r)});
+  }
+}
+
+void MaterializedView::Uncompact() {
+  if (!compacted_) return;
+  rows_.reserve(store_.rows);
+  ForEachRow([&](TupleKey key, Row row) {
+    rows_.emplace(std::move(key), std::move(row));
+  });
+  store_ = ColumnStore();
   compacted_ = false;
 }
 
 uint64_t MaterializedView::MemoryBytes() const {
-  uint64_t sig_bytes = 0;
-  if (NumTuples() > 0) {
-    sig_bytes = (compacted_ ? flat_.keys.front().sig : rows_.begin()->first.sig)
-                    .raw_words()
-                    .size() *
-                sizeof(uint64_t);
-  }
   if (compacted_) {
-    return flat_.keys.size() * (sizeof(TupleKey) + sig_bytes +
-                                sizeof(uint64_t) * 2) +
-           (flat_.df.size() + flat_.tc.size()) * sizeof(uint32_t);
+    const ColumnStore& s = store_;
+    return s.bitmaps.capacity() * sizeof(uint64_t) +
+           s.buckets.capacity() * sizeof(uint16_t) +
+           (s.counts.capacity() + s.sum_lens.capacity()) * sizeof(uint64_t) +
+           (s.df.capacity() + s.tc.capacity()) * sizeof(uint32_t);
   }
+  uint64_t sig_bytes = BitSignature(def_.num_columns()).StorageBytes();
   uint64_t bytes = 0;
   for (const auto& [key, row] : rows_) {
     bytes += sizeof(TupleKey) + sig_bytes + sizeof(Row) +

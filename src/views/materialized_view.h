@@ -2,6 +2,7 @@
 #define CSR_VIEWS_MATERIALIZED_VIEW_H_
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -34,8 +35,16 @@ struct ViewParamOptions {
 /// aggregates COUNT(*), SUM(len(d)), and per tracked keyword w the partial
 /// df (and optionally tc).
 ///
-/// Computing S_c(D_P) for P ⊆ K is a full scan of the rows, summing those
-/// whose signature contains all bits of P (Theorem 4.2: O(ViewSize)).
+/// A view has two forms. The build form is a hash map keyed by (signature,
+/// year bucket), which AddDocument and MergeFrom upsert into. The serving
+/// form, made by Compact(), is a column store (DESIGN.md §19): rows sorted
+/// by (bucket, signature), one row bitmap per keyword column, and the
+/// aggregate and parameter columns stored column-major. ComputeStats reads
+/// only the serving form. S_c(D_P) ANDs the bitmaps of P's columns over the
+/// rows of the requested bucket interval and folds the set bits' columns:
+/// Theorem 4.2's full scan at O(ViewSize / 64 + matches). Every producer of
+/// a view (ViewBuilder, BuildViewFromIndexes, MergeFrom, snapshot load,
+/// ViewCatalog::Add) hands it out compacted.
 class MaterializedView {
  public:
   MaterializedView(ViewDefinition def, ViewParamOptions options,
@@ -50,10 +59,11 @@ class MaterializedView {
   const ViewDefinition& def() const { return def_; }
   const ViewParamOptions& options() const { return options_; }
 
-  /// Folds one document into its partition. `tracked_terms` is the
-  /// document's (slot, tf) vector from the DocParamTable; `sig` must have
-  /// been built against this view's definition. `year` is ignored unless
-  /// the view has a time dimension.
+  /// Folds one document into its partition (the build form; a compacted
+  /// view is un-compacted first). `tracked_terms` is the document's
+  /// (slot, tf) vector from the DocParamTable; `sig` must have been built
+  /// against this view's definition. `year` is ignored unless the view has
+  /// a time dimension.
   void AddDocument(const BitSignature& sig, uint32_t doc_length,
                    std::span<const std::pair<uint32_t, uint32_t>> tracked_terms,
                    uint16_t year = 0);
@@ -75,10 +85,12 @@ class MaterializedView {
     bool range_answerable = true;
   };
 
-  /// Computes S_c(D_P) by scanning the view. `context` must be sorted and
-  /// satisfy Covers(context); violations return a zeroed result with all
-  /// covered[i] = false. An active `range` is answered exactly iff the
-  /// view has a time dimension and the range aligns to bucket boundaries.
+  /// Computes S_c(D_P) from the column store; the view must be compacted.
+  /// `context` must be sorted and satisfy Covers(context); violations
+  /// return a zeroed result with all covered[i] = false. An active `range`
+  /// is answered exactly iff the view has a time dimension and the range
+  /// aligns to bucket boundaries. Charges every tuple of the view to
+  /// cost->view_tuples_scanned, whatever the bitmaps skip.
   StatsResult ComputeStats(std::span<const TermId> context,
                            std::span<const TermId> keywords,
                            const TrackedKeywords& tracked,
@@ -91,7 +103,7 @@ class MaterializedView {
 
   /// Number of non-empty tuples (the paper's ViewSize).
   size_t NumTuples() const {
-    return compacted_ ? flat_.keys.size() : rows_.size();
+    return compacted_ ? store_.rows : rows_.size();
   }
 
   /// Deep copy. MaterializedView is move-only (accidental copies of a
@@ -100,24 +112,26 @@ class MaterializedView {
   /// published snapshot.
   MaterializedView Clone() const;
 
-  /// Folds another view's rows into this one (tuple-wise sums of count,
-  /// sum_len, and the df/tc parameter columns). Both views must share the
-  /// same definition, options, and tracked-keyword table; this is the
-  /// physical merge of a per-segment delta into its base view, and because
-  /// every aggregate is an integer sum it reproduces exactly what a
-  /// scratch build over the union of documents would have produced.
+  /// Folds another (compacted) view's rows into this one (tuple-wise sums
+  /// of count, sum_len, and the df/tc parameter columns) through the build
+  /// form, and compacts the result. Both views must share the same
+  /// definition, options, and tracked-keyword table; this is the physical
+  /// merge of a per-segment delta into its base view, and because every
+  /// aggregate is an integer sum it reproduces exactly what a scratch build
+  /// over the union of documents would have produced.
   void MergeFrom(const MaterializedView& other);
 
-  /// Converts the hash-map row store into flat column arenas sorted by
-  /// tuple key: one contiguous parameter block instead of two heap vectors
-  /// per row. ComputeStats serves either representation identically (the
-  /// scan is full either way); AddDocument on a compacted view lazily
-  /// un-compacts first. Idempotent.
+  /// Converts the build form into the serving column store. Idempotent; a
+  /// new (empty) view starts compacted.
   void Compact();
   bool compacted() const { return compacted_; }
 
-  /// Actual resident bytes of the row store (keys + aggregates + parameter
-  /// columns + per-row container overhead when uncompacted).
+  /// Actual resident bytes of the live form. Compacted, the store's exact
+  /// allocation: per tuple 16 bytes of count/sum_len, 2 of year bucket when
+  /// the view has a time dimension and 4 per tracked slot per df/tc
+  /// column, plus ⌈ViewSize / 64⌉ words per keyword column
+  /// (ViewSizeEstimator::StoreBytes models it). Uncompacted, an estimate
+  /// including per-row container overhead.
   uint64_t MemoryBytes() const;
 
   /// Modeled on-disk storage: per tuple, the packed signature key plus
@@ -159,26 +173,39 @@ class MaterializedView {
     }
   };
 
-  /// Compacted row store: structure-of-arrays with df/tc packed row-major
-  /// into one arena each (stride num_tracked_).
-  struct FlatRows {
-    std::vector<TupleKey> keys;
+  /// The serving form: a column store over rows sorted by (bucket,
+  /// signature). Every vector is allocated at its exact size.
+  struct ColumnStore {
+    size_t rows = 0;
+    /// Words per row bitmap: ⌈rows / 64⌉.
+    size_t words = 0;
+    /// Keyword column c's row bitmap at [c * words, (c + 1) * words): bit
+    /// r is set iff row r's signature has column c.
+    std::vector<uint64_t> bitmaps;
+    /// Per row, ascending; empty unless the view has a time dimension.
+    std::vector<uint16_t> buckets;
     std::vector<uint64_t> counts;
     std::vector<uint64_t> sum_lens;
+    /// Column-major: slot s of row r at [s * rows + r]. Empty unless
+    /// track_df / track_tc.
     std::vector<uint32_t> df;
     std::vector<uint32_t> tc;
   };
 
-  /// Rebuilds rows_ from flat_ (incremental maintenance needs keyed
-  /// upserts).
+  /// Calls fn(key, row) for each row of the column store, in store order,
+  /// with the build form's key and row rebuilt from the bitmaps and
+  /// columns. Compacted views only.
+  void ForEachRow(const std::function<void(TupleKey, Row)>& fn) const;
+
+  /// Rebuilds rows_ from store_ (upserts need the keyed form).
   void Uncompact();
 
   ViewDefinition def_;
   ViewParamOptions options_;
   uint32_t num_tracked_;
   std::unordered_map<TupleKey, Row, TupleKeyHash> rows_;
-  bool compacted_ = false;
-  FlatRows flat_;
+  bool compacted_ = true;
+  ColumnStore store_;
 };
 
 }  // namespace csr

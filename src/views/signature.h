@@ -13,7 +13,7 @@ namespace csr {
 /// tuple's group-by key (Section 4.1) is exactly "which of the view's
 /// keyword columns are 1 for this partition" — a BitSignature. The paper's
 /// observation that only non-empty tuples need storing (Section 4.3) is
-/// realized by keeping rows in a hash map keyed by this signature.
+/// realized by building rows in a hash map keyed by this signature.
 class BitSignature {
  public:
   BitSignature() = default;

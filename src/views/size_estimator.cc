@@ -69,30 +69,23 @@ uint64_t ViewSizeEstimator::Exact(const ViewDefinition& def) const {
   return CountDistinct(def, all_docs_);
 }
 
-uint64_t ViewSizeEstimator::BytesPerTuple(uint32_t keyword_columns,
-                                          const ViewParamOptions& options,
-                                          uint32_t num_tracked) {
-  // One payload word per 64 keyword columns, matching BitSignature's
-  // bitmap blocks. The tuple key is the signature's inline header (a
-  // std::vector) plus the year bucket, padded to the vector's alignment —
-  // TupleKey itself is private to MaterializedView, so the cross-check
-  // test pins this model against actual Compact() MemoryBytes.
-  uint64_t sig_words = (static_cast<uint64_t>(keyword_columns) + 63) / 64;
-  uint64_t key_bytes =
-      (sizeof(BitSignature) + sizeof(uint16_t) + alignof(BitSignature) - 1) &
-      ~(static_cast<uint64_t>(alignof(BitSignature)) - 1);
-  uint64_t bytes = key_bytes + sig_words * sizeof(uint64_t) +
-                   2 * sizeof(uint64_t);  // count + sum_len columns
-  if (options.track_df) bytes += sizeof(uint32_t) * uint64_t{num_tracked};
-  if (options.track_tc) bytes += sizeof(uint32_t) * uint64_t{num_tracked};
-  return bytes;
+uint64_t ViewSizeEstimator::StoreBytes(uint64_t num_tuples,
+                                       uint32_t keyword_columns,
+                                       const ViewParamOptions& options,
+                                       uint32_t num_tracked) {
+  uint64_t per_tuple = 2 * sizeof(uint64_t);  // count + sum_len columns
+  if (options.year_bucket_size > 0) per_tuple += sizeof(uint16_t);
+  if (options.track_df) per_tuple += sizeof(uint32_t) * uint64_t{num_tracked};
+  if (options.track_tc) per_tuple += sizeof(uint32_t) * uint64_t{num_tracked};
+  uint64_t bitmap_words = (num_tuples + 63) / 64;
+  return num_tuples * per_tuple +
+         uint64_t{keyword_columns} * bitmap_words * sizeof(uint64_t);
 }
 
 uint64_t ViewSizeEstimator::EstimateBytes(const ViewDefinition& def,
                                           const ViewParamOptions& options,
                                           uint32_t num_tracked) const {
-  return Estimate(def) *
-         BytesPerTuple(def.num_columns(), options, num_tracked);
+  return StoreBytes(Estimate(def), def.num_columns(), options, num_tracked);
 }
 
 }  // namespace csr

@@ -39,21 +39,22 @@ class ViewSizeEstimator {
   /// requires exclusive access (no concurrent appends).
   uint64_t Exact(const ViewDefinition& def) const;
 
-  /// Modeled resident bytes per COMPACTED tuple for a view with
-  /// `keyword_columns` columns under `options` tracking `num_tracked`
-  /// slots. Mirrors MaterializedView::MemoryBytes of the flat row store:
-  /// the tuple-key struct, the signature payload words (one 64-bit word
-  /// per 64 keyword columns — the bitmap-block representation), the two
-  /// 8-byte aggregate columns, and one 4-byte cell per tracked slot per
-  /// enabled df/tc column. All arithmetic is 64-bit: with ~1k tracked
-  /// slots one tuple already costs ~8 KiB, so a 32-bit product overflows
-  /// past ~500k tuples. Cross-checked against actual Compact() bytes in
-  /// the views test lane so the constants cannot silently rot.
-  static uint64_t BytesPerTuple(uint32_t keyword_columns,
-                                const ViewParamOptions& options,
-                                uint32_t num_tracked);
+  /// Modeled resident bytes of a COMPACTED view of `num_tuples` tuples
+  /// with `keyword_columns` columns under `options` tracking `num_tracked`
+  /// slots. Mirrors MaterializedView::MemoryBytes of the column store
+  /// exactly: per tuple the two 8-byte aggregate columns, a 2-byte year
+  /// bucket when the view has a time dimension and one 4-byte cell per
+  /// tracked slot per enabled df/tc column, plus one row bitmap of
+  /// ⌈num_tuples / 64⌉ words per keyword column. All arithmetic is 64-bit:
+  /// with ~1k tracked slots one tuple already costs ~8 KiB, so a 32-bit
+  /// product overflows past ~500k tuples. Cross-checked against actual
+  /// Compact() bytes in the views test lane so the model cannot silently
+  /// rot. Monotone in `num_tuples`.
+  static uint64_t StoreBytes(uint64_t num_tuples, uint32_t keyword_columns,
+                             const ViewParamOptions& options,
+                             uint32_t num_tracked);
 
-  /// Lower-bound resident-byte estimate: Estimate(def) * BytesPerTuple.
+  /// Lower-bound resident-byte estimate: StoreBytes(Estimate(def)).
   /// The adaptive controller uses this only as a pre-admission gate; its
   /// budget is accounted in actual MemoryBytes at install time. The
   /// per-segment delta path stores one partial tuple set per segment, so

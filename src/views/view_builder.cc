@@ -68,6 +68,7 @@ void ViewBuilder::Route(std::vector<MaterializedView>& views, DocId first_doc,
       bits_of_view[v].clear();
     }
   }
+  for (MaterializedView& view : views) view.Compact();
 }
 
 MaterializedView BuildViewFromIndexes(const ViewDefinition& def,
@@ -133,6 +134,7 @@ MaterializedView BuildViewFromIndexes(const ViewDefinition& def,
     uint16_t year = d < years.size() ? years[d] : 0;
     view.AddDocument(sig, content.doc_length(d), params[t], year);
   }
+  view.Compact();
   return view;
 }
 

@@ -11,7 +11,8 @@
 namespace csr {
 
 /// Materializes a batch of views in a single pass over the document
-/// collection (the GROUP BY of Section 4.1 for every view at once).
+/// collection (the GROUP BY of Section 4.1 for every view at once). Every
+/// view it returns is compacted (ready to serve).
 ///
 /// Views do not store the all-zero partition (documents containing none of
 /// K): a statistics query for a non-empty context P never aggregates it,
@@ -79,7 +80,8 @@ class ViewBuilder {
 /// BuildRange over the same documents.
 ///
 /// `def` must have at most 64 keyword columns (the adaptive candidate cap
-/// enforces this); wider definitions return an empty view.
+/// enforces this); wider definitions return an empty view. The view is
+/// returned compacted.
 MaterializedView BuildViewFromIndexes(const ViewDefinition& def,
                                       ViewParamOptions options,
                                       const TrackedKeywords& tracked,

@@ -5,6 +5,7 @@
 namespace csr {
 
 void ViewCatalog::Add(MaterializedView view) {
+  view.Compact();
   uint32_t idx = static_cast<uint32_t>(views_.size());
   for (TermId m : view.def().keyword_columns) {
     by_term_[m].push_back(idx);
@@ -65,10 +66,6 @@ uint64_t ViewCatalog::TotalStorageBytes() const {
   uint64_t total = 0;
   for (const auto& v : views_) total += v.StorageBytes();
   return total;
-}
-
-void ViewCatalog::CompactAll() {
-  for (MaterializedView& v : views_) v.Compact();
 }
 
 uint64_t ViewCatalog::TotalTuples() const {

@@ -35,6 +35,8 @@ class ViewCatalog {
   ViewCatalog(ViewCatalog&&) = default;
   ViewCatalog& operator=(ViewCatalog&&) = default;
 
+  /// Adds `view`, compacting it first: a catalog serves only column
+  /// stores.
   void Add(MaterializedView view);
 
   /// Removes and returns all views (for incremental maintenance: update
@@ -72,11 +74,6 @@ class ViewCatalog {
 
   uint64_t TotalStorageBytes() const;
   uint64_t TotalTuples() const;
-
-  /// Compacts every view's row store (MaterializedView::Compact).
-  /// Idempotent; incremental maintenance transparently un-compacts the
-  /// views it touches.
-  void CompactAll();
 
  private:
   std::vector<MaterializedView> views_;

@@ -182,30 +182,39 @@ Corpus SmallCorpus(uint32_t docs = 1200, uint64_t seed = 42) {
   return CorpusGenerator(cfg).Generate().value();
 }
 
-TEST(SizeEstimatorTest, BytesPerTupleMatchesActualCompactBytes) {
+TEST(SizeEstimatorTest, StoreBytesMatchesActualCompactBytes) {
   Corpus corpus = SmallCorpus();
   EngineConfig cfg;
   cfg.estimator_sample = 400;
   auto engine = ContextSearchEngine::Build(corpus, cfg).value();
 
-  ViewParamOptions options;
-  options.track_df = true;
-  options.track_tc = false;
   const uint32_t num_tracked =
       static_cast<uint32_t>(engine->tracked().size());
-  for (ViewDefinition def :
-       {ViewDefinition{{0, 1}}, ViewDefinition{{0, 1, 2, 3}}}) {
-    MaterializedView view = BuildViewFromIndexes(
-        def, options, engine->tracked(), engine->content_index(),
-        engine->predicate_index(), {});
-    view.Compact();
-    ASSERT_GT(view.NumTuples(), 0u);
-    // The model must reproduce the compacted row store exactly — a stale
-    // per-row constant here silently corrupts the admission gate.
-    EXPECT_EQ(view.MemoryBytes(),
-              view.NumTuples() * ViewSizeEstimator::BytesPerTuple(
-                                     def.num_columns(), options, num_tracked))
-        << "columns=" << def.num_columns();
+  std::vector<uint16_t> years;
+  for (const Document& d : engine->corpus().docs) years.push_back(d.year);
+  for (bool track_tc : {false, true}) {
+    for (uint16_t year_bucket : {uint16_t{0}, uint16_t{5}}) {
+      ViewParamOptions options;
+      options.track_df = true;
+      options.track_tc = track_tc;
+      options.year_bucket_size = year_bucket;
+      for (ViewDefinition def :
+           {ViewDefinition{{0, 1}}, ViewDefinition{{0, 1, 2, 3}}}) {
+        MaterializedView view = BuildViewFromIndexes(
+            def, options, engine->tracked(), engine->content_index(),
+            engine->predicate_index(), years);
+        ASSERT_TRUE(view.compacted());
+        ASSERT_GT(view.NumTuples(), 0u);
+        // The model must reproduce the compacted store exactly — a stale
+        // constant here silently corrupts the admission gate.
+        EXPECT_EQ(view.MemoryBytes(),
+                  ViewSizeEstimator::StoreBytes(view.NumTuples(),
+                                                def.num_columns(), options,
+                                                num_tracked))
+            << "columns=" << def.num_columns() << " tc=" << track_tc
+            << " bucket=" << year_bucket;
+      }
+    }
   }
 }
 
@@ -215,10 +224,14 @@ TEST(SizeEstimatorTest, ByteArithmeticIs64Bit) {
   options.track_tc = true;
   // A (hypothetical) view tracking 2^30 slots: per-tuple bytes alone must
   // exceed 32 bits of product headroom instead of silently truncating.
-  uint64_t per_tuple =
-      ViewSizeEstimator::BytesPerTuple(64, options, 1u << 30);
-  EXPECT_GT(per_tuple, (1ull << 33));
-  EXPECT_EQ(per_tuple % 4, 0u);
+  uint64_t one_tuple =
+      ViewSizeEstimator::StoreBytes(1, 64, options, 1u << 30);
+  EXPECT_GT(one_tuple, (1ull << 33));
+  EXPECT_EQ(one_tuple % 4, 0u);
+  // 2^28 tuples of a 64-column view with no slots: 2^32 bytes of
+  // aggregates plus 2^31 of bitmaps.
+  EXPECT_EQ(ViewSizeEstimator::StoreBytes(1ull << 28, 64, {}, 0),
+            (1ull << 32) + (1ull << 31));
 }
 
 TEST(SizeEstimatorTest, EstimateBytesIsALowerBoundOnActual) {
@@ -234,7 +247,6 @@ TEST(SizeEstimatorTest, EstimateBytesIsALowerBoundOnActual) {
   MaterializedView view = BuildViewFromIndexes(
       def, options, engine->tracked(), engine->content_index(),
       engine->predicate_index(), {});
-  view.Compact();
   uint64_t estimate = estimator.EstimateBytes(def, options, num_tracked);
   EXPECT_GT(estimate, 0u);
   EXPECT_LE(estimate, view.MemoryBytes());

@@ -143,6 +143,33 @@ TEST(ContextSetCacheTest, ClearDropsEverySetAndItsBytes) {
   EXPECT_EQ(cache.Get(KeyOf(1)), nullptr);
 }
 
+TEST(ContextSetCacheTest, ChargesWhatAYearRestrictedMultiPredicateSetHolds) {
+  // Context {1, 2} (every 6th document) restricted to one year in 11:
+  // Build reserves the shortest list's 1334 members and keeps 61.
+  const InvertedIndex index = Multiples(4000, 3);
+  std::vector<uint16_t> years(4000);
+  for (DocId d = 0; d < years.size(); ++d) {
+    years[d] = static_cast<uint16_t>(1990 + d % 11);
+  }
+  const TermId context[] = {1, 2};
+  const YearRange y1990{1990, 1990};
+  auto set = std::make_shared<const ContextSet>(
+      ContextSet::Build(index, index, context, nullptr, years, y1990));
+  ASSERT_EQ(set->Size(), 61u);
+  const PostingList& members = *set->ref(nullptr).plain;
+  ASSERT_GT(members.AllocatedBytes(), 10 * members.MemoryBytes())
+      << "the reservation should far exceed the members";
+
+  const TermIdSet key = *ContextSetCache::Key(SearchPart{}, context, y1990);
+  MetricsRegistry registry;
+  ContextSetCache cache(1 << 20, registry);
+  cache.Put(key, set);
+  EXPECT_EQ(cache.bytes(), EntryBytes(key, *set));
+  EXPECT_GE(cache.bytes(), ContextSetCache::kEntryOverheadBytes +
+                               key.size() * sizeof(TermId) +
+                               sizeof(ContextSet) + members.AllocatedBytes());
+}
+
 TEST(ContextSetCacheTest, KeysNameOneDocumentSet) {
   const TermId context[] = {3, 7};
   const TermId wider[] = {3, 7, 9};
@@ -282,6 +309,32 @@ TEST(ContextSetCacheEngineTest, ViewServedPartBuildsOnItsFirstMiss) {
   const MetricsSnapshot snap = engine->MetricsSnapshot();
   EXPECT_EQ(snap.counters.at("engine.context_set_cache.hits"), 2u);
   EXPECT_EQ(snap.counters.at("engine.context_set_cache.misses"), 1u);
+}
+
+TEST(ContextSetCacheEngineTest, CachedSetsAreChargedTheirAllocation) {
+  // A year range the view cannot answer sends the part down the
+  // straightforward plan, whose D_P the cache keeps.
+  auto engine = MakeEngine(TestCorpus(), 8u << 20);
+  const ContextQuery q = QueryFor(*engine, {0, 1}, YearRange{1995, 2002});
+  auto r = engine->Search(q, EvaluationMode::kContextWithViews);
+  ASSERT_TRUE(r.ok());
+  ASSERT_FALSE(r->metrics.used_view);
+  ASSERT_GT(r->stats.cardinality, 0u);
+  const ContextSetCache* cache = engine->context_set_cache();
+  ASSERT_EQ(cache->size(), 1u);
+
+  // The same build outside the engine: its members fill only part of the
+  // reservation, and the cache charges the whole allocation.
+  std::vector<uint16_t> years;
+  for (const Document& d : engine->corpus().docs) years.push_back(d.year);
+  const ContextSet set =
+      ContextSet::Build(engine->content_index(), engine->predicate_index(),
+                        q.context, nullptr, years, q.years);
+  ASSERT_EQ(set.Size(), r->stats.cardinality);
+  const PostingList& members = *set.ref(nullptr).plain;
+  ASSERT_GT(members.AllocatedBytes(), members.MemoryBytes());
+  const TermIdSet key = *ContextSetCache::Key(SearchPart{}, q.context, q.years);
+  EXPECT_EQ(cache->bytes(), EntryBytes(key, set));
 }
 
 TEST(ContextSetCacheEngineTest, BoundedQueryBuildsOnlyWhatItsPlanNeeds) {

@@ -1,10 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "corpus/generator.h"
 #include "index/inverted_index.h"
 #include "stats/collector.h"
+#include "storage/serializer.h"
+#include "storage/snapshot.h"
+#include "util/random.h"
 #include "views/materialized_view.h"
 #include "views/signature.h"
 #include "views/size_estimator.h"
@@ -260,6 +273,419 @@ TEST_F(ViewsFixture, CatalogFindsSmallestUsableView) {
   EXPECT_EQ(catalog.size(), 3u);
   EXPECT_GT(catalog.TotalStorageBytes(), 0u);
   EXPECT_GT(catalog.TotalTuples(), 0u);
+}
+
+
+// -- The compacted column store against a naive oracle ----------------------
+//
+// Views here are built document by document (AddDocument, then Compact),
+// and every statistic is checked against a sum over the documents written
+// in this file, not against another engine path.
+
+/// One synthetic document as the oracle sees it.
+struct OracleDoc {
+  std::vector<uint32_t> bits;  // keyword-column positions, ascending
+  uint16_t year = 0;
+  uint32_t length = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> tracked;  // (slot, tf)
+};
+
+constexpr TermId kColumnTerm = 1000;  // keyword column c is term 1000 + c
+constexpr TermId kSlotTerm = 50000;   // tracked slot s is term 50000 + s
+constexpr uint32_t kSlots = 24;
+
+TrackedKeywords OracleTracked() {
+  std::vector<TermId> terms;
+  for (uint32_t s = 0; s < kSlots; ++s) terms.push_back(kSlotTerm + s);
+  return TrackedKeywords::FromTerms(std::move(terms));
+}
+
+ViewDefinition OracleDef(uint32_t columns) {
+  TermIdSet k;
+  for (uint32_t c = 0; c < columns; ++c) k.push_back(kColumnTerm + c);
+  return ViewDefinition{k};
+}
+
+/// Columns 0-3 are common, the rest rare, and (with two or more columns)
+/// the last column is never set, so contexts holding it match no row.
+std::vector<OracleDoc> RandomDocs(uint32_t columns, size_t n, uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<OracleDoc> docs(n);
+  for (OracleDoc& d : docs) {
+    uint32_t live = columns >= 2 ? columns - 1 : columns;
+    for (uint32_t c = 0; c < live; ++c) {
+      if (rng.NextBounded(100) < (c < 4 ? 50u : 8u)) d.bits.push_back(c);
+    }
+    d.year = static_cast<uint16_t>(1980 + rng.NextBounded(31));
+    d.length = 1 + static_cast<uint32_t>(rng.NextBounded(200));
+    for (uint32_t s = 0; s < kSlots; ++s) {
+      if (rng.NextBounded(10) < 3) {
+        d.tracked.emplace_back(s, 1 + static_cast<uint32_t>(rng.NextBounded(5)));
+      }
+    }
+  }
+  return docs;
+}
+
+void AddDocs(MaterializedView& view, uint32_t columns,
+             std::span<const OracleDoc> docs) {
+  for (const OracleDoc& d : docs) {
+    BitSignature sig(columns);
+    for (uint32_t b : d.bits) sig.Set(b);
+    view.AddDocument(sig, d.length, d.tracked, d.year);
+  }
+}
+
+MaterializedView OracleView(uint32_t columns, ViewParamOptions options,
+                            std::span<const OracleDoc> docs) {
+  MaterializedView view(OracleDef(columns), options, kSlots);
+  AddDocs(view, columns, docs);
+  view.Compact();
+  return view;
+}
+
+struct NaiveStats {
+  uint64_t cardinality = 0;
+  uint64_t total_length = 0;
+  std::vector<uint64_t> df;
+  std::vector<uint64_t> tc;
+};
+
+/// S_c(D_P) summed document by document.
+NaiveStats Naive(std::span<const OracleDoc> docs,
+                 const std::vector<uint32_t>& context_bits,
+                 const std::vector<TermId>& keywords, YearRange range) {
+  NaiveStats out;
+  out.df.assign(keywords.size(), 0);
+  out.tc.assign(keywords.size(), 0);
+  for (const OracleDoc& d : docs) {
+    if (range.active() && !range.Contains(d.year)) continue;
+    bool all = true;
+    for (uint32_t b : context_bits) {
+      all = all && std::find(d.bits.begin(), d.bits.end(), b) != d.bits.end();
+    }
+    if (!all) continue;
+    out.cardinality++;
+    out.total_length += d.length;
+    for (size_t i = 0; i < keywords.size(); ++i) {
+      for (const auto& [slot, tf] : d.tracked) {
+        if (kSlotTerm + slot != keywords[i]) continue;
+        out.df[i]++;
+        out.tc[i] += tf;
+      }
+    }
+  }
+  return out;
+}
+
+/// Contexts of 1-4 predicates over `columns` columns, as column positions.
+std::vector<std::vector<uint32_t>> OracleContexts(uint32_t columns,
+                                                  uint64_t seed) {
+  std::vector<std::vector<uint32_t>> out = {{0}, {columns - 1}};
+  if (columns >= 4) {
+    out.push_back({0, 1});
+    out.push_back({0, 1, 2, 3});
+    out.push_back({1, columns - 1});  // holds the never-set column
+  }
+  SplitMix64 rng(seed);
+  for (int i = 0; i < 8; ++i) {
+    std::vector<uint32_t> ctx;
+    uint32_t size = 1 + static_cast<uint32_t>(rng.NextBounded(4));
+    for (uint32_t j = 0; j < size; ++j) {
+      ctx.push_back(static_cast<uint32_t>(rng.NextBounded(columns)));
+    }
+    std::sort(ctx.begin(), ctx.end());
+    ctx.erase(std::unique(ctx.begin(), ctx.end()), ctx.end());
+    out.push_back(std::move(ctx));
+  }
+  return out;
+}
+
+/// Checks every context of OracleContexts under `range` against Naive.
+void ExpectMatchesOracle(const MaterializedView& view, uint32_t columns,
+                         std::span<const OracleDoc> docs, YearRange range,
+                         const std::string& what) {
+  ASSERT_TRUE(view.compacted()) << what;
+  const TrackedKeywords tracked = OracleTracked();
+  // Three tracked keywords, one untracked, one that is a view column.
+  const std::vector<TermId> keywords = {kSlotTerm, kSlotTerm + 5,
+                                        kSlotTerm + kSlots - 1,
+                                        kSlotTerm + kSlots + 7, kColumnTerm};
+  const bool track_tc = view.options().track_tc;
+  uint64_t matched = 0;
+  for (const std::vector<uint32_t>& bits : OracleContexts(columns, columns)) {
+    TermIdSet context;
+    for (uint32_t b : bits) context.push_back(kColumnTerm + b);
+    const std::string where = what + " context of " +
+                              std::to_string(bits.size()) + " from column " +
+                              std::to_string(bits[0]);
+    CostCounters cost;
+    auto got = view.ComputeStats(context, keywords, tracked, &cost, range);
+    NaiveStats want = Naive(docs, bits, keywords, range);
+    ASSERT_TRUE(got.range_answerable) << where;
+    EXPECT_EQ(cost.view_tuples_scanned, view.NumTuples()) << where;
+    EXPECT_EQ(got.cardinality, want.cardinality) << where;
+    EXPECT_EQ(got.total_length, want.total_length) << where;
+    for (size_t i = 0; i < keywords.size(); ++i) {
+      const bool is_tracked = i < 3;
+      EXPECT_EQ(got.covered[i], is_tracked) << where << " keyword " << i;
+      if (!is_tracked) continue;
+      EXPECT_EQ(got.df[i], want.df[i]) << where << " keyword " << i;
+      EXPECT_EQ(got.tc[i], track_tc ? want.tc[i] : 0u)
+          << where << " keyword " << i;
+    }
+    matched += want.cardinality;
+  }
+  // Non-vacuous unless no document can match.
+  if (!docs.empty() && (!range.active() || range.min_year <= 2010)) {
+    EXPECT_GT(matched, 0u) << what;
+  }
+}
+
+TEST(ViewColumnStoreTest, MatchesANaiveSumOverDocuments) {
+  for (uint32_t columns : {1u, 9u, 53u, 64u, 65u, 130u}) {
+    for (bool track_tc : {false, true}) {
+      for (uint16_t bucket : {uint16_t{0}, uint16_t{5}}) {
+        const std::string what = std::to_string(columns) + " columns, tc " +
+                                 std::to_string(track_tc) + ", bucket " +
+                                 std::to_string(bucket);
+        ViewParamOptions options;
+        options.track_tc = track_tc;
+        options.year_bucket_size = bucket;
+        const std::vector<OracleDoc> docs =
+            RandomDocs(columns, 700, columns * 4 + track_tc * 2 + bucket);
+        const MaterializedView view = OracleView(columns, options, docs);
+        ASSERT_GT(view.NumTuples(), 0u) << what;
+
+        ExpectMatchesOracle(view, columns, docs, {}, what);
+        if (bucket == 0) {
+          // No time dimension: any active range is unanswerable.
+          auto r = view.ComputeStats(TermIdSet{kColumnTerm}, {}, {}, nullptr,
+                                     YearRange{1990, 1994});
+          EXPECT_FALSE(r.range_answerable) << what;
+          continue;
+        }
+        // Aligned ranges: the first bucket, a middle run, the last bucket
+        // (a partial one), and one past every document.
+        for (YearRange range :
+             {YearRange{1980, 1984}, YearRange{1990, 2004},
+              YearRange{2010, 2014}, YearRange{2020, 2029}}) {
+          ExpectMatchesOracle(view, columns, docs, range,
+                              what + " years " +
+                                  std::to_string(range.min_year));
+        }
+        // Unaligned ranges are refused, never approximated.
+        for (YearRange range : {YearRange{1991, 1999}, YearRange{1990, 1998}}) {
+          auto r = view.ComputeStats(TermIdSet{kColumnTerm}, {}, {}, nullptr,
+                                     range);
+          EXPECT_FALSE(r.range_answerable) << what;
+          EXPECT_EQ(r.cardinality, 0u) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(ViewColumnStoreTest, EmptyViewAnswersZero) {
+  for (uint32_t columns : {1u, 65u}) {
+    ViewParamOptions options;
+    options.track_tc = true;
+    options.year_bucket_size = 10;
+    MaterializedView view(OracleDef(columns), options, kSlots);
+    ASSERT_TRUE(view.compacted());
+    view.Compact();
+    EXPECT_EQ(view.NumTuples(), 0u);
+    EXPECT_EQ(view.MemoryBytes(), 0u);
+    ExpectMatchesOracle(view, columns, {}, {}, "empty");
+    ExpectMatchesOracle(view, columns, {}, YearRange{1990, 1999}, "empty");
+  }
+}
+
+TEST(ViewColumnStoreTest, MergeCloneAndRebuildKeepTheAnswers) {
+  for (uint32_t columns : {9u, 65u, 130u}) {
+    const std::string what = std::to_string(columns) + " columns";
+    ViewParamOptions options;
+    options.track_tc = true;
+    options.year_bucket_size = 5;
+    const std::vector<OracleDoc> docs = RandomDocs(columns, 900, columns);
+    const std::span<const OracleDoc> all(docs);
+    const MaterializedView scratch = OracleView(columns, options, all);
+
+    // MergeFrom of two halves, then Compact (MergeFrom compacts itself).
+    MaterializedView merged = OracleView(columns, options, all.first(400));
+    merged.MergeFrom(OracleView(columns, options, all.subspan(400)));
+    merged.Compact();
+    ExpectMatchesOracle(merged, columns, docs, {}, what + " merged");
+    ExpectMatchesOracle(merged, columns, docs, YearRange{1995, 2004},
+                        what + " merged, years");
+    EXPECT_EQ(merged.NumTuples(), scratch.NumTuples()) << what;
+    EXPECT_EQ(merged.MemoryBytes(), scratch.MemoryBytes()) << what;
+
+    // A clone answers alike and is independent of its source.
+    MaterializedView clone = merged.Clone();
+    ExpectMatchesOracle(clone, columns, docs, {}, what + " clone");
+    merged.MergeFrom(OracleView(columns, options, all.first(100)));
+    ExpectMatchesOracle(clone, columns, docs, {}, what + " clone after merge");
+
+    // Documents added to a compacted view go through the build form.
+    MaterializedView grown = OracleView(columns, options, all.first(300));
+    AddDocs(grown, columns, all.subspan(300));
+    EXPECT_FALSE(grown.compacted());
+    grown.Compact();
+    ExpectMatchesOracle(grown, columns, docs, YearRange{1980, 1989},
+                        what + " grown");
+    EXPECT_EQ(grown.MemoryBytes(), scratch.MemoryBytes()) << what;
+  }
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// A view's views-v3 frame, encoded row by row from the documents: rows
+/// keyed and ordered by (bucket, signature words).
+std::string RowByRowFrame(uint32_t columns, ViewParamOptions options,
+                          std::span<const OracleDoc> docs) {
+  struct Agg {
+    uint64_t count = 0;
+    uint64_t sum_len = 0;
+    std::vector<uint32_t> df = std::vector<uint32_t>(kSlots, 0);
+    std::vector<uint32_t> tc = std::vector<uint32_t>(kSlots, 0);
+  };
+  std::map<std::pair<uint16_t, std::vector<uint64_t>>, Agg> rows;
+  for (const OracleDoc& d : docs) {
+    std::vector<uint64_t> words((columns + 63) / 64, 0);
+    for (uint32_t b : d.bits) words[b / 64] |= 1ULL << (b % 64);
+    uint16_t bucket = options.year_bucket_size == 0
+                          ? 0
+                          : d.year / options.year_bucket_size;
+    Agg& agg = rows[{bucket, words}];
+    agg.count++;
+    agg.sum_len += d.length;
+    for (const auto& [slot, tf] : d.tracked) {
+      agg.df[slot]++;
+      agg.tc[slot] += tf;
+    }
+  }
+  BinaryWriter w;
+  w.PutVarintVector(OracleDef(columns).keyword_columns);
+  w.PutU8(options.track_df);
+  w.PutU8(options.track_tc);
+  w.PutVarint(options.year_bucket_size);
+  w.PutU32(kSlots);
+  w.PutVarint(rows.size());
+  for (const auto& [key, agg] : rows) {
+    w.PutVarint(key.first);
+    w.PutVarintVector(key.second);
+    w.PutVarint(agg.count);
+    w.PutVarint(agg.sum_len);
+    w.PutVarintVector(options.track_df ? agg.df : std::vector<uint32_t>{});
+    w.PutVarintVector(options.track_tc ? agg.tc : std::vector<uint32_t>{});
+  }
+  return w.buffer();
+}
+
+TEST(ViewColumnStoreTest, SnapshotFramesKeepTheRowFormat) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("csr_views_test_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  struct Case {
+    uint32_t columns;
+    bool track_tc;
+    uint16_t bucket;
+  };
+  const std::vector<Case> cases = {{1, false, 0}, {9, true, 0},
+                                   {64, false, 5}, {130, true, 5}};
+  std::vector<std::vector<OracleDoc>> docs;
+  ViewCatalog catalog;
+  for (const Case& c : cases) {
+    ViewParamOptions options;
+    options.track_tc = c.track_tc;
+    options.year_bucket_size = c.bucket;
+    docs.push_back(RandomDocs(c.columns, 500, c.columns + 7));
+    catalog.Add(OracleView(c.columns, options, docs.back()));
+  }
+  const std::string first = (dir / "views1.csr").string();
+  const std::string second = (dir / "views2.csr").string();
+  const TrackedKeywords tracked = OracleTracked();
+  ASSERT_TRUE(SaveViews(catalog, tracked, first, 500).ok());
+  auto loaded = LoadViews(first);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded->catalog.size(), cases.size());
+  ASSERT_TRUE(SaveViews(loaded->catalog, tracked, second, 500).ok());
+  const std::string bytes = ReadBytes(first);
+  EXPECT_EQ(bytes, ReadBytes(second)) << "Save -> Load -> Save must be stable";
+
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const std::string what = std::to_string(cases[i].columns) + " columns";
+    const MaterializedView& view = loaded->catalog.view(i);
+    ExpectMatchesOracle(view, cases[i].columns, docs[i], {}, what);
+    EXPECT_EQ(view.MemoryBytes(), catalog.view(i).MemoryBytes()) << what;
+    const std::string frame =
+        RowByRowFrame(cases[i].columns, view.options(), docs[i]);
+    EXPECT_NE(bytes.find(frame), std::string::npos)
+        << what << ": the frame differs from its row-by-row encoding";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// A views-v3 frame of one row over a 9-column view tracking df.
+std::string OneRowFrame(uint64_t signature, size_t df_cells) {
+  BinaryWriter w;
+  w.PutVarintVector(OracleDef(9).keyword_columns);
+  w.PutU8(1);  // track_df
+  w.PutU8(0);  // track_tc
+  w.PutVarint(0);
+  w.PutU32(kSlots);
+  w.PutVarint(1);
+  w.PutVarint(0);
+  w.PutVarintVector(std::vector<uint64_t>{signature});
+  w.PutVarint(3);
+  w.PutVarint(30);
+  w.PutVarintVector(std::vector<uint32_t>(df_cells, 1));
+  w.PutVarintVector(std::vector<uint32_t>{});
+  return w.buffer();
+}
+
+TEST(ViewColumnStoreTest, MalformedRowsAreQuarantinedNotCompacted) {
+  // Frames whose checksums hold but whose rows do not fit the view: a
+  // signature bit past the last column, and a df column one slot short.
+  // Compacting either would write or read outside the store.
+  const std::vector<std::string> frames = {
+      OneRowFrame(0b101, kSlots), OneRowFrame((1ULL << 9) | 1, kSlots),
+      OneRowFrame(0b1, kSlots - 1)};
+  BinaryWriter header;
+  header.PutU32(3);      // views format version
+  header.PutVarint(10);  // base docs
+  header.PutVarintVector(OracleTracked().terms());
+  header.PutVarint(frames.size());
+  for (const std::string& frame : frames) {
+    header.PutVarint(frame.size());
+    header.PutU64(Fnv1a(frame));
+    header.PutVarintVector(OracleDef(9).keyword_columns);
+  }
+  BinaryWriter w;
+  w.PutVarint(header.size());
+  w.PutU64(Fnv1a(header.buffer()));
+  w.PutRaw(header.buffer());
+  for (const std::string& frame : frames) w.PutRaw(frame);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("csr_views_malformed_" + std::to_string(::getpid()) + ".csr");
+  ASSERT_TRUE(w.WriteFile(path.string(), 0x43535256).ok());  // "CSRV"
+
+  auto loaded = LoadViews(path.string());
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->catalog.size(), 1u);
+  EXPECT_EQ(loaded->catalog.view(0).NumTuples(), 1u);
+  ASSERT_EQ(loaded->catalog.quarantined().size(), 2u);
+  EXPECT_NE(loaded->catalog.quarantined()[0].reason.find("signature"),
+            std::string::npos);
+  EXPECT_NE(loaded->catalog.quarantined()[1].reason.find("parameter"),
+            std::string::npos);
 }
 
 }  // namespace
