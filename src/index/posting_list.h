@@ -56,6 +56,14 @@ class PostingList {
   /// on the list's length appends without reallocating.
   void Reserve(size_t n) { postings_.reserve(n); }
 
+  /// Releases whatever a Reserve left unused (one copy of the postings),
+  /// so AllocatedBytes equals MemoryBytes.
+  void ShrinkToFit() {
+    postings_.shrink_to_fit();
+    skip_.shrink_to_fit();
+    skip_max_tf_.shrink_to_fit();
+  }
+
   /// Finalizes the skip structure. Must be called after the last Append and
   /// before iteration. Idempotent.
   void FinishBuild();

@@ -41,6 +41,10 @@ ContextSet ContextSet::Build(const InvertedIndex& content_index,
     window.clear();
   }
   set.docs_.FinishBuild();
+  // A multi-predicate or year-restricted set may fill a small part of the
+  // reservation; a set outlives the query in the cache, so keep only its
+  // members.
+  set.docs_.ShrinkToFit();
   set.complete_ = guard == nullptr || !guard->tripped();
   if (cost != nullptr) cost->aggregation_entries += set.Size();
   return set;

@@ -66,9 +66,8 @@ class ContextSet {
   /// False when a guard tripped during Build.
   bool complete() const { return complete_; }
   /// Bytes allocated for the member list and this object, what a cache
-  /// charges against its budget. Build reserves the shortest predicate
-  /// list's length, which a multi-predicate or year-restricted set may not
-  /// fill, so the reservation is charged, not the size (DESIGN.md §18).
+  /// charges against its budget. Build trims the list to its members, so
+  /// no reservation beyond them stays allocated (DESIGN.md §18).
   uint64_t MemoryBytes() const {
     return sizeof(*this) + docs_.AllocatedBytes();
   }

@@ -145,7 +145,8 @@ TEST(ContextSetCacheTest, ClearDropsEverySetAndItsBytes) {
 
 TEST(ContextSetCacheTest, ChargesWhatAYearRestrictedMultiPredicateSetHolds) {
   // Context {1, 2} (every 6th document) restricted to one year in 11:
-  // Build reserves the shortest list's 1334 members and keeps 61.
+  // Build reserves the shortest list's 1334 members and keeps 61, and
+  // the cache charges at least what the set holds.
   const InvertedIndex index = Multiples(4000, 3);
   std::vector<uint16_t> years(4000);
   for (DocId d = 0; d < years.size(); ++d) {
@@ -157,8 +158,8 @@ TEST(ContextSetCacheTest, ChargesWhatAYearRestrictedMultiPredicateSetHolds) {
       ContextSet::Build(index, index, context, nullptr, years, y1990));
   ASSERT_EQ(set->Size(), 61u);
   const PostingList& members = *set->ref(nullptr).plain;
-  ASSERT_GT(members.AllocatedBytes(), 10 * members.MemoryBytes())
-      << "the reservation should far exceed the members";
+  EXPECT_EQ(members.AllocatedBytes(), members.MemoryBytes())
+      << "the set keeps its reservation";
 
   const TermIdSet key = *ContextSetCache::Key(SearchPart{}, context, y1990);
   MetricsRegistry registry;
@@ -323,8 +324,8 @@ TEST(ContextSetCacheEngineTest, CachedSetsAreChargedTheirAllocation) {
   const ContextSetCache* cache = engine->context_set_cache();
   ASSERT_EQ(cache->size(), 1u);
 
-  // The same build outside the engine: its members fill only part of the
-  // reservation, and the cache charges the whole allocation.
+  // The same build outside the engine holds exactly its members, and the
+  // cache charges that allocation.
   std::vector<uint16_t> years;
   for (const Document& d : engine->corpus().docs) years.push_back(d.year);
   const ContextSet set =
@@ -332,7 +333,7 @@ TEST(ContextSetCacheEngineTest, CachedSetsAreChargedTheirAllocation) {
                         q.context, nullptr, years, q.years);
   ASSERT_EQ(set.Size(), r->stats.cardinality);
   const PostingList& members = *set.ref(nullptr).plain;
-  ASSERT_GT(members.AllocatedBytes(), members.MemoryBytes());
+  EXPECT_EQ(members.AllocatedBytes(), members.MemoryBytes());
   const TermIdSet key = *ContextSetCache::Key(SearchPart{}, q.context, q.years);
   EXPECT_EQ(cache->bytes(), EntryBytes(key, set));
 }

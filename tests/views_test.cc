@@ -7,7 +7,6 @@
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -274,7 +273,6 @@ TEST_F(ViewsFixture, CatalogFindsSmallestUsableView) {
   EXPECT_GT(catalog.TotalStorageBytes(), 0u);
   EXPECT_GT(catalog.TotalTuples(), 0u);
 }
-
 
 // -- The compacted column store against a naive oracle ----------------------
 //
