@@ -12,16 +12,21 @@
 // conjunction on the block-kernel chain, which BM_KWayConjunction and
 // BM_MixedConjunction measure.
 //
-// `--json <path>` writes a machine-readable summary of these shapes.
+// `--json <path>` writes a machine-readable summary of these shapes, plus
+// the kernel family's throughput per ratio bucket (intersect_kernels) and
+// the run⋈block walk's windows through SimdIntersect against the scalar
+// window merge they replaced (run_join, bench/scalar_window_join.h).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "bench/leapfrog.h"
+#include "bench/scalar_window_join.h"
 #include "index/codec.h"
 #include "index/intersection.h"
 #include "index/posting_cursor.h"
@@ -321,6 +326,80 @@ void WriteKernelSection(csr::bench::JsonWriter& j) {
   j.CloseObject();
 }
 
+/// The run⋈block walk at run/list size ratios 1, 8 and 64: a docid run (a
+/// context set) joined with a FOR-coded list by JoinRunWithList, whose
+/// windows go through SimdIntersect, against the same walk with the
+/// scalar window merge (bench/scalar_window_join.h). Both decode the same
+/// blocks, so the speedup is the window kernels'. The gate
+/// (check_bench_regression.py --intersect-bench) holds `result` exact and
+/// a floor on the ratio-8 speedup, where the kernels' lead over the merge
+/// is clearest; at ratio 1 the two run about level on this list.
+void WriteRunJoinSection(csr::bench::JsonWriter& j) {
+  constexpr size_t kListSize = 1 << 18;
+  csr::SplitMix64 rng(4242);
+  std::vector<csr::Posting> postings;
+  postings.reserve(kListSize);
+  DocId d = 0;
+  for (size_t i = 0; i < kListSize; ++i) {
+    d += 1 + static_cast<DocId>(rng.NextBounded(4));
+    postings.push_back(csr::Posting{d, 1});
+  }
+  const uint32_t universe = d + 1;
+  const CompressedPostingList list = CompressedPostingList::FromPostings(
+      postings, 128, csr::CodecPolicy::kForOnly);
+
+  j.OpenObject("run_join");
+  for (size_t ratio : {1, 8, 64}) {
+    // kListSize / ratio distinct docids, about half of them list members.
+    std::vector<bool> taken(universe, false);
+    size_t nrun = 0;
+    while (nrun < kListSize / ratio) {
+      const DocId r = rng.NextBool(0.5)
+                          ? postings[rng.NextBounded(kListSize)].doc
+                          : static_cast<DocId>(rng.NextBounded(universe));
+      if (!taken[r]) {
+        taken[r] = true;
+        ++nrun;
+      }
+    }
+    std::vector<DocId> run;
+    run.reserve(nrun);
+    for (DocId r = 0; r < universe; ++r) {
+      if (taken[r]) run.push_back(r);
+    }
+    const uint64_t result =
+        csr::JoinRunWithList(run, list, false, nullptr, nullptr).matches;
+    if (csr::bench::ScalarRunJoinCount(run, list) != result) {
+      std::fprintf(stderr, "run_join ratio %zu: scalar and SIMD disagree\n",
+                   ratio);
+      std::exit(1);
+    }
+    // Best of three alternating measurements per side, so host drift
+    // between the two does not set the ratio.
+    double scalar_qps = 0;
+    double simd_qps = 0;
+    for (int round = 0; round < 3; ++round) {
+      scalar_qps = std::max(scalar_qps, MeasureQps([&] {
+        benchmark::DoNotOptimize(csr::bench::ScalarRunJoinCount(run, list));
+      }));
+      simd_qps = std::max(simd_qps, MeasureQps([&] {
+        benchmark::DoNotOptimize(
+            csr::JoinRunWithList(run, list, false, nullptr, nullptr).matches);
+      }));
+    }
+    j.OpenObject("ratio_" + std::to_string(ratio));
+    j.Field("ratio", static_cast<uint64_t>(ratio));
+    j.Field("run_size", static_cast<uint64_t>(run.size()));
+    j.Field("list_size", static_cast<uint64_t>(list.size()));
+    j.Field("result", result);
+    j.Field("scalar_qps", scalar_qps);
+    j.Field("simd_qps", simd_qps);
+    j.Field("speedup", scalar_qps > 0 ? simd_qps / scalar_qps : 0.0);
+    j.CloseObject();
+  }
+  j.CloseObject();
+}
+
 void WriteJsonReport(const std::string& path) {
   const uint32_t kUniverse = 1 << 21;
   PostingList long_list = MakeUniformList(kUniverse, 2, 128);
@@ -364,6 +443,7 @@ void WriteJsonReport(const std::string& path) {
   j.CloseObject();
 
   WriteKernelSection(j);
+  WriteRunJoinSection(j);
   j.Close();
 
   if (csr::Status s = j.WriteFile(path); !s.ok()) {

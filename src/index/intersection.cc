@@ -159,6 +159,13 @@ class PairwiseSide {
 
   size_t& pos() { return pos_; }
 
+  /// Output buffer for SimdIntersect over the current block: room for
+  /// every docid the block holds, which bounds any join with it.
+  DocId* Matches() {
+    if (matches_.size() < meta().count) matches_.resize(meta().count);
+    return matches_.data();
+  }
+
   /// Membership probe for d in the current block; d must not exceed
   /// meta().max_doc. Probes are monotone within a block, advancing an
   /// internal cursor by linear (merge) or galloping steps.
@@ -209,29 +216,15 @@ class PairwiseSide {
   std::span<const uint32_t> tfs_;
   std::vector<DocId> own_docs_;
   std::vector<uint32_t> own_tfs_;
+  std::vector<DocId> matches_;
   size_t tf_offset_ = 0;
   size_t pos_ = 0;
 };
 
 /// The pairwise loop: for each driver block, windows of candidate docids
-/// are intersected against the probe side's blocks. Sink sees either
-/// whole 64-bit AND words (Word) or individual matches (Doc), always in
-/// increasing docid order.
-///
-/// Array×array windows dispatch to the SIMD kernel family
-/// (simd_intersect.h): the overlapping slices of both decoded blocks are
-/// handed to SimdIntersect, which picks pairwise-shuffle / wide-probe /
-/// SIMD-gallop from the window length ratio and the active dispatch
-/// level. Cost parity with the per-value probe loop is kept analytically:
-/// the probe side is charged one entries_scanned per driver value at or
-/// above the probe block's first possible docid — exactly what
-/// PairwiseSide::Contains charged, and independent of the dispatch level,
-/// so counters stay bit-identical under CSR_FORCE_SCALAR differentials.
-///
-/// A non-null `guard` is charged one tick per `drv` docid no greater than
-/// the probe list's last docid, block by block before the block is
-/// probed; the scan stops when it trips.
-
+/// are intersected against the probe side's blocks. Sink sees whole
+/// 64-bit AND words (Word), single matches (Doc) or runs of matches
+/// (Docs), always in increasing docid order.
 ///
 /// Array×array windows dispatch to the SIMD kernel family
 /// (simd_intersect.h): the overlapping slices of both decoded blocks are
@@ -250,9 +243,8 @@ class PairwiseSide {
 ///
 /// Runs driver blocks [from, to) of side `a` against side `b`; both sides
 /// resume where an earlier call left them, so consecutive ranges walk the
-/// lists once. `matches` is kernel scratch. Returns false once no later
-/// driver block can match: the probe side is exhausted or the guard
-/// tripped.
+/// lists once. Returns false once no later driver block can match: the
+/// probe side is exhausted or the guard tripped.
 template <typename Sink>
 bool PairwiseBlocks(PairwiseSide& a, PairwiseSide& b, size_t from, size_t to,
                     bool merge_probe, ScanGuard* guard,
@@ -360,7 +352,7 @@ bool PairwiseBlocks(PairwiseSide& a, PairwiseSide& b, size_t from, size_t to,
               const size_t nm = SimdIntersect(
                   docs.data() + in_from, wend - in_from,
                   bdocs.data() + bstart, bend - bstart, matches.data());
-              for (size_t k = 0; k < nm; ++k) sink.Doc(matches[k]);
+              sink.Docs(std::span<const DocId>(matches.data(), nm));
             }
             // All docids <= hi in this probe block are consumed; future
             // probes (same block, later windows) are strictly above hi.
@@ -391,6 +383,7 @@ bool PairwiseBlocks(PairwiseSide& a, PairwiseSide& b, size_t from, size_t to,
 struct CountSink {
   uint64_t n = 0;
   void Doc(DocId) { ++n; }
+  void Docs(std::span<const DocId> docs) { n += docs.size(); }
   void Word(DocId, uint64_t w) { n += static_cast<uint64_t>(std::popcount(w)); }
 };
 
@@ -404,6 +397,9 @@ struct BatchSink {
   void Doc(DocId d) {
     buf[len++] = d;
     if (len == buf.size()) Flush();
+  }
+  void Docs(std::span<const DocId> docs) {
+    for (DocId d : docs) Doc(d);
   }
   void Word(DocId first, uint64_t w) {
     while (w != 0) {
@@ -424,6 +420,9 @@ struct BatchSink {
 struct VectorSink {
   std::vector<DocId>* out;
   void Doc(DocId d) { out->push_back(d); }
+  void Docs(std::span<const DocId> docs) {
+    out->insert(out->end(), docs.begin(), docs.end());
+  }
   void Word(DocId first, uint64_t w) {
     for (; w != 0; w &= w - 1) {
       out->push_back(first + static_cast<DocId>(std::countr_zero(w)));
@@ -444,110 +443,43 @@ inline DocId DocOf(DocId d) { return d; }
 
 /// The first index in [from, run.size()) whose docid exceeds `d`, by
 /// galloping then binary search.
-template <typename Run>
-size_t RunUpperBound(std::span<const Run> run, size_t from, DocId d) {
+size_t RunUpperBound(std::span<const DocId> run, size_t from, DocId d) {
   size_t bound = 1;
-  while (from + bound < run.size() && DocOf(run[from + bound]) <= d) {
-    bound <<= 1;
-  }
-  auto it = std::upper_bound(
-      run.begin() + from + bound / 2,
-      run.begin() + std::min(from + bound, run.size()), d,
-      [](DocId v, const Run& p) { return v < DocOf(p); });
+  while (from + bound < run.size() && run[from + bound] <= d) bound <<= 1;
+  auto it = std::upper_bound(run.begin() + from + bound / 2,
+                             run.begin() + std::min(from + bound, run.size()),
+                             d);
   return static_cast<size_t>(it - run.begin());
 }
 
-/// Counts the docids `window` and `docs` share (both sorted, strictly
-/// increasing), calling on_match(j) for each shared docs[j] when
-/// `positions` is set. Comparable sizes merge, branch-free when only the
-/// count is needed; a side 8x shorter gallops through the longer.
-template <typename Run, typename OnMatch>
-uint64_t MatchWindow(std::span<const Run> window,
-                     std::span<const DocId> docs, bool positions,
-                     OnMatch&& on_match) {
-  uint64_t n = 0;
-  const size_t nw = window.size();
-  const size_t nd = docs.size();
-  if (nw * 8 < nd || nd * 8 < nw) {
-    const bool window_short = nw < nd;
-    size_t a = 0;  // cursor in the longer side
-    const size_t long_n = window_short ? nd : nw;
-    auto long_doc = [&](size_t k) {
-      return window_short ? docs[k] : DocOf(window[k]);
-    };
-    for (size_t k = 0; k < (window_short ? nw : nd); ++k) {
-      const DocId d = window_short ? DocOf(window[k]) : docs[k];
-      size_t bound = 1;
-      while (a + bound < long_n && long_doc(a + bound) < d) bound <<= 1;
-      size_t lo = a + bound / 2;
-      size_t hi = std::min(a + bound + 1, long_n);
-      while (lo < hi) {
-        size_t mid = lo + (hi - lo) / 2;
-        if (long_doc(mid) < d) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      a = lo;
-      if (a == long_n) break;
-      if (long_doc(a) == d) {
-        ++n;
-        if (positions) on_match(window_short ? a : k);
-      }
-    }
-    return n;
-  }
-  size_t a = 0;
-  size_t b = 0;
-  if (!positions) {
-    while (a < nw && b < nd) {
-      const DocId x = DocOf(window[a]);
-      const DocId y = docs[b];
-      n += x == y;
-      a += x <= y;
-      b += y <= x;
-    }
-    return n;
-  }
-  while (a < nw && b < nd) {
-    const DocId x = DocOf(window[a]);
-    const DocId y = docs[b];
-    if (x == y) {
-      ++n;
-      on_match(b);
-      ++a;
-      ++b;
-    } else if (x < y) {
-      ++a;
-    } else {
-      ++b;
-    }
-  }
-  return n;
-}
-
-/// What a run-with-list block walk reports per match: nothing (a count),
-/// the match's index in the decoded block (to read its tf), or its docid.
+/// What a run-with-list block walk needs of a decoded block: nothing
+/// beyond the matches (a count, or the docids), or the matches' tfs.
 enum class JoinOut { kCount, kTf, kDocs };
 
-/// The block walk behind JoinRunWithList and SemiJoinRunWithList. For
-/// kTf and kDocs, calls on_match(side, doc, j) for every run docid the
-/// list holds, in increasing order; j is the docid's index in
-/// side.Docs(), except on bitmap probes (kCount and kDocs only), which
-/// pass 0. Guard ticks follow the join tick rule (intersection.h). The
+/// The block walk behind JoinRunWithList, SemiJoinRunWithList and the
+/// Conjunction's semijoin steps. The run is cut into windows, one per
+/// list block its docids fall in; blocks no window meets are skipped
+/// undecoded. A window meets its block through SimdIntersect, which
+/// writes the matches into the side's buffer (or, for kCount and kDocs
+/// when the block is a bitmap no more than half the window's size, by
+/// O(1) bit tests); on_matches(side, matches) then sees each non-empty
+/// run of matches, in increasing order, with the block still current, so
+/// kTf callers may read side.Docs() and side.Tfs(). Costs are charged
+/// from window and block sizes, never from the kernel: one
+/// entries_scanned per window docid, plus the block's size when it is
+/// decoded. Guard ticks follow the join tick rule (intersection.h). The
 /// side may resume where an earlier walk left it only when the run
 /// drives, as it always does inside a Conjunction.
-template <JoinOut kOut, typename Run, typename OnMatch>
-RunJoinResult JoinRunImpl(std::span<const Run> run, PairwiseSide& side,
-                          ScanGuard* guard, OnMatch&& on_match) {
+template <JoinOut kOut, typename OnMatches>
+RunJoinResult JoinRunImpl(std::span<const DocId> run, PairwiseSide& side,
+                          ScanGuard* guard, OnMatches&& on_matches) {
   const CompressedPostingList& list = side.list();
   CostCounters* cost = side.cost();
   RunJoinResult out;
   if (run.empty() || list.empty()) return out;
   const auto blocks = list.blocks();
   const bool run_drives = run.size() <= list.size();
-  const DocId run_last = DocOf(run.back());
+  const DocId run_last = run.back();
   auto charge = [&](uint64_t n) {
     if (guard == nullptr || !guard->Charge(n)) return false;
     out.aborted = true;
@@ -563,7 +495,7 @@ RunJoinResult JoinRunImpl(std::span<const Run> run, PairwiseSide& side,
   };
   size_t i = 0;
   while (i < run.size()) {
-    if (!side.SeekBlock(DocOf(run[i]))) {
+    if (!side.SeekBlock(run[i])) {
       // The rest of the run lies past the list, whose unticked postings
       // all precede run_last.
       if (!run_drives) charge_blocks_before(blocks.size());
@@ -572,7 +504,7 @@ RunJoinResult JoinRunImpl(std::span<const Run> run, PairwiseSide& side,
     const size_t b = side.current_block();
     const auto& meta = side.meta();
     const size_t end = RunUpperBound(run, i, meta.max_doc);
-    std::span<const Run> window = run.subspan(i, end - i);
+    std::span<const DocId> window = run.subspan(i, end - i);
     i = end;
     if (run_drives) {
       // After a trip, the window's paid docids are still probed.
@@ -605,22 +537,23 @@ RunJoinResult JoinRunImpl(std::span<const Run> run, PairwiseSide& side,
       }
     }
     if (cost != nullptr) cost->entries_scanned += window.size();
+    size_t nm = 0;
+    DocId* matches = side.Matches();
     if (kOut != JoinOut::kTf && side.IsBitmap() &&
         window.size() <= 2 * meta.count) {
       const BitmapBlockCodec::View& view = side.View();
-      for (const Run& p : window) {
-        const bool hit = view.Test(DocOf(p));
-        out.matches += hit;
-        if constexpr (kOut == JoinOut::kDocs) {
-          if (hit) on_match(side, DocOf(p), 0);
-        }
+      for (DocId d : window) {
+        if (view.Test(d)) matches[nm++] = d;
       }
     } else {
       std::span<const DocId> docs = side.Docs();
       if (cost != nullptr) cost->entries_scanned += docs.size();
-      out.matches +=
-          MatchWindow(window, docs, kOut != JoinOut::kCount,
-                      [&](size_t j) { on_match(side, docs[j], j); });
+      nm = SimdIntersect(window.data(), window.size(), docs.data(),
+                         docs.size(), matches);
+    }
+    out.matches += nm;
+    if (kOut != JoinOut::kCount && nm > 0) {
+      on_matches(side, std::span<const DocId>(matches, nm));
     }
   }
   return out;
@@ -661,15 +594,13 @@ size_t GallopLowerBound(std::span<const T> v, size_t from, DocId d,
 /// left where a later, higher `drv` may resume. Returns the entries read
 /// on both sides (entries_scanned): each `drv` docid probed, and each
 /// docid of `oth` compared with one.
-template <typename Drv, typename Oth, typename OnMatch>
-uint64_t SearchJoin(std::span<const Drv> drv, std::span<const Oth> oth,
+template <typename Oth, typename OnMatch>
+uint64_t SearchJoin(std::span<const DocId> drv, std::span<const Oth> oth,
                     ScanGuard* guard, size_t& j, OnMatch&& on_match) {
   uint64_t probes = 0;
   if (drv.empty() || oth.empty()) return probes;
-  const DocId oth_last = DocOf(oth.back());
   const size_t n = static_cast<size_t>(
-      std::upper_bound(drv.begin(), drv.end(), oth_last,
-                       [](DocId v, const Drv& p) { return v < DocOf(p); }) -
+      std::upper_bound(drv.begin(), drv.end(), DocOf(oth.back())) -
       drv.begin());
   constexpr size_t kChunk = PostingList::kDefaultSegmentSize;
   for (size_t from = 0; from < n; from += kChunk) {
@@ -677,9 +608,8 @@ uint64_t SearchJoin(std::span<const Drv> drv, std::span<const Oth> oth,
     const size_t paid = ChargePaid(guard, chunk);
     probes += paid;
     for (size_t i = from; i < from + paid; ++i) {
-      const DocId d = DocOf(drv[i]);
-      j = GallopLowerBound(oth, j, d, &probes);
-      if (DocOf(oth[j]) == d) on_match(i, j);
+      j = GallopLowerBound(oth, j, drv[i], &probes);
+      if (DocOf(oth[j]) == drv[i]) on_match(i, j);
     }
     if (paid < chunk) break;
   }
@@ -724,19 +654,27 @@ uint64_t ScanPairwiseIntersectionBatches(
   return n;
 }
 
-RunJoinResult JoinRunWithList(std::span<const Posting> run,
+RunJoinResult JoinRunWithList(std::span<const DocId> run,
                               const CompressedPostingList& list, bool with_tf,
                               CostCounters* cost, ScanGuard* guard) {
   PairwiseSide side(&list, cost);
   if (!with_tf) {
-    return JoinRunImpl<JoinOut::kCount>(run, side, guard,
-                                        [](PairwiseSide&, DocId, size_t) {});
+    return JoinRunImpl<JoinOut::kCount>(
+        run, side, guard, [](PairwiseSide&, std::span<const DocId>) {});
   }
   uint64_t tf_sum = 0;
   RunJoinResult out = JoinRunImpl<JoinOut::kTf>(
-      run, side, guard, [&tf_sum](PairwiseSide& s, DocId, size_t j) {
+      run, side, guard,
+      [&tf_sum](PairwiseSide& s, std::span<const DocId> matches) {
+        // The matches' positions, by one forward pass over the block.
+        std::span<const DocId> docs = s.Docs();
         std::span<const uint32_t> tfs = s.Tfs();
-        if (j < tfs.size()) tf_sum += tfs[j];
+        size_t j = 0;
+        for (DocId d : matches) {
+          while (docs[j] < d) ++j;
+          if (j < tfs.size()) tf_sum += tfs[j];
+          ++j;
+        }
       });
   out.tf_sum = tf_sum;
   return out;
@@ -750,7 +688,9 @@ RunJoinResult SemiJoinRunWithList(
   BatchSink sink(&on_batch);
   RunJoinResult out = JoinRunImpl<JoinOut::kDocs>(
       run, side, guard,
-      [&sink](PairwiseSide&, DocId d, size_t) { sink.Doc(d); });
+      [&sink](PairwiseSide&, std::span<const DocId> matches) {
+        sink.Docs(matches);
+      });
   sink.Flush();
   return out;
 }
@@ -768,14 +708,15 @@ struct Conjunction::List {
       : ref(r), side(r.packed, r.cost), tf_side(r.packed, r.cost) {}
 
   DocId last() const {
-    return ref.plain != nullptr ? ref.plain->postings().back().doc
-                                : ref.packed->blocks().back().max_doc;
+    return ref.plain != nullptr    ? ref.plain->postings().back().doc
+           : ref.packed != nullptr ? ref.packed->blocks().back().max_doc
+                                   : ref.run.back();
   }
 
   PostingRef ref;
   PairwiseSide side;     // compressed: the joins' block cursor
   PairwiseSide tf_side;  // compressed: Tfs's block cursor
-  size_t pos = 0;        // plain: where the next join's search starts
+  size_t pos = 0;        // plain or run: where the next join's search starts
   size_t tf_pos = 0;     // plain: where the next Tfs search starts
 };
 
@@ -809,25 +750,31 @@ Conjunction::Conjunction(std::span<const PostingRef> lists,
 
 Conjunction::~Conjunction() = default;
 
-template <typename Run, typename Sink>
-void Conjunction::Join(std::span<const Run> run, List& list, ScanGuard* guard,
-                       Sink& sink) {
+template <typename Sink>
+void Conjunction::Join(std::span<const DocId> run, List& list,
+                       ScanGuard* guard, Sink& sink) {
   if (list.ref.packed != nullptr) {
     if constexpr (std::is_same_v<Sink, CountSink>) {
       sink.n += JoinRunImpl<JoinOut::kCount>(
                     run, list.side, guard,
-                    [](PairwiseSide&, DocId, size_t) {})
+                    [](PairwiseSide&, std::span<const DocId>) {})
                     .matches;
     } else {
       JoinRunImpl<JoinOut::kDocs>(
           run, list.side, guard,
-          [&sink](PairwiseSide&, DocId d, size_t) { sink.Doc(d); });
+          [&sink](PairwiseSide&, std::span<const DocId> matches) {
+            sink.Docs(matches);
+          });
     }
     return;
   }
-  const uint64_t probes =
-      SearchJoin(run, list.ref.plain->postings(), guard, list.pos,
-                 [&](size_t i, size_t) { sink.Doc(DocOf(run[i])); });
+  auto search = [&](auto oth) {
+    return SearchJoin(run, oth, guard, list.pos,
+                      [&](size_t i, size_t) { sink.Doc(run[i]); });
+  };
+  const uint64_t probes = list.ref.plain != nullptr
+                              ? search(list.ref.plain->postings())
+                              : search(list.ref.run);
   if (list.ref.cost != nullptr) list.ref.cost->entries_scanned += probes;
 }
 
@@ -835,18 +782,21 @@ template <typename Sink>
 void Conjunction::FirstStep(Sink& sink) {
   List& drv = lists_[0];
   const bool alone = lists_.size() == 1;
-  if (drv.ref.plain != nullptr) {
-    const std::span<const Posting> postings = drv.ref.plain->postings();
+  std::span<const DocId> window;
+  if (drv.ref.packed == nullptr) {
+    const size_t size = drv.ref.size();
     const size_t from = next_;
-    next_ = std::min(postings.size(), from + kWindow);
-    done_ = next_ == postings.size() ||
-            (!alone && postings[next_].doc > second_last_);
-    if (!alone) {
-      Join(postings.subspan(from, next_ - from), lists_[1], guard_, sink);
-      return;
+    next_ = std::min(size, from + kWindow);
+    if (drv.ref.plain != nullptr) {
+      const std::span<const Posting> postings = drv.ref.plain->postings();
+      done_ = next_ == size || (!alone && postings[next_].doc > second_last_);
+      scratch_.clear();
+      for (size_t i = from; i < next_; ++i) scratch_.push_back(postings[i].doc);
+      window = scratch_;
+    } else {
+      done_ = next_ == size || (!alone && drv.ref.run[next_] > second_last_);
+      window = drv.ref.run.subspan(from, next_ - from);
     }
-    scratch_.clear();
-    for (size_t i = from; i < next_; ++i) scratch_.push_back(postings[i].doc);
   } else {
     const CompressedPostingList& list = *drv.ref.packed;
     const size_t from = next_;
@@ -868,8 +818,8 @@ void Conjunction::FirstStep(Sink& sink) {
       std::span<const DocId> docs = drv.side.Docs();
       scratch_.insert(scratch_.end(), docs.begin(), docs.end());
     }
+    window = scratch_;
   }
-  const std::span<const DocId> window = scratch_;
   if (!alone) {
     Join(window, lists_[1], guard_, sink);
     return;
@@ -882,7 +832,7 @@ void Conjunction::FirstStep(Sink& sink) {
     const size_t n = std::min(window.size() - from,
                               size_t{PostingList::kDefaultSegmentSize});
     const size_t paid = ChargePaid(guard_, n);
-    for (size_t i = from; i < from + paid; ++i) sink.Doc(window[i]);
+    sink.Docs(window.subspan(from, paid));
     if (paid < n) return;
   }
 }
@@ -931,6 +881,11 @@ uint64_t Conjunction::Count() {
 void Conjunction::Tfs(size_t i, std::span<const DocId> docs, uint32_t* out,
                       size_t stride) {
   List& list = lists_[caller_[i]];
+  if (list.ref.packed == nullptr && list.ref.plain == nullptr) {
+    // A docid run: every member's tf reads 1.
+    for (size_t j = 0; j < docs.size(); ++j) out[j * stride] = 1;
+    return;
+  }
   if (list.ref.plain != nullptr) {
     const std::span<const Posting> postings = list.ref.plain->postings();
     uint64_t probes = 0;  // a tf read, not a join: charged nothing

@@ -69,14 +69,16 @@ struct RunJoinResult {
 
 /// The 2-way join of a strictly increasing docid run (a materialized
 /// context set) with one compressed list, by one forward walk over the
-/// list's blocks: each block is paired with the run docids inside its
-/// range, blocks none fall in are skipped undecoded, a bitmap block is
-/// probed by O(1) bit tests without expansion (unless `with_tf` needs
-/// positions or the window outnumbers the block), and any other block is
-/// decoded once and intersected by galloping the smaller side through the
-/// larger. Probes and decode bytes are charged to `cost`, and `guard`
-/// ticks by the join tick rule above (the run is S on a tie).
-RunJoinResult JoinRunWithList(std::span<const Posting> run,
+/// list's blocks: each block is paired with the window of run docids
+/// inside its range, blocks no window meets are skipped undecoded, a
+/// bitmap block is probed by O(1) bit tests without expansion (unless
+/// `with_tf` needs tfs or the window outnumbers the block), and any other
+/// block is decoded once and meets its window in SimdIntersect
+/// (simd_intersect.h). With `with_tf`, the matches' tfs are read by one
+/// forward pass over the block. Probes and decode bytes are charged to
+/// `cost` from window and block sizes, the same at every dispatch level,
+/// and `guard` ticks by the join tick rule above (the run is S on a tie).
+RunJoinResult JoinRunWithList(std::span<const DocId> run,
                               const CompressedPostingList& list, bool with_tf,
                               CostCounters* cost, ScanGuard* guard);
 
@@ -103,13 +105,14 @@ uint64_t CountCompressedIntersection(const CompressedPostingList& a,
 ///
 /// The lists are taken shortest first (ties in caller order). The two
 /// shortest join pairwise — the block-pairwise kernel when both are
-/// compressed, else a block walk or a galloping search join with the
-/// shorter as the run — and the result then semijoins each further list in
-/// ascending length. The chain runs in windows of the shortest list (its
-/// next kWindow postings, whole blocks when it is compressed); each window
-/// runs the whole chain, and every list resumes where the last window
-/// left it, so survivors arrive in ascending docid order and memory stays
-/// bounded by the window.
+/// compressed, else the block walk of JoinRunWithList (a compressed
+/// second list) or a galloping search join (a plain list or a docid run),
+/// with the shorter as the run — and the result then semijoins each
+/// further list in ascending length. The chain runs in windows of the
+/// shortest list (its next kWindow postings, whole blocks when it is
+/// compressed); each window runs the whole chain, and every list resumes
+/// where the last window left it, so survivors arrive in ascending docid
+/// order and memory stays bounded by the window.
 ///
 /// Ticks pay for candidates, one per docid of the shortest list: the
 /// pairwise step ticks by the join tick rule (once per such docid no
@@ -156,8 +159,8 @@ class Conjunction {
   bool Window(Sink& sink);
   template <typename Sink>
   void FirstStep(Sink& sink);
-  template <typename Run, typename Sink>
-  void Join(std::span<const Run> run, List& list, ScanGuard* guard,
+  template <typename Sink>
+  void Join(std::span<const DocId> run, List& list, ScanGuard* guard,
             Sink& sink);
 
   std::vector<List> lists_;     // shortest first
@@ -168,7 +171,8 @@ class Conjunction {
   bool merge_probe_ = false;  // pairwise kernel probe style
   bool done_ = false;
   bool aborted_ = false;
-  // Intermediate runs, and the driver's decoded window or kernel scratch.
+  // Intermediate runs, and the driver's window when it is not a run or
+  // the pairwise kernel's output.
   std::vector<DocId> run_, next_run_, scratch_;
 };
 

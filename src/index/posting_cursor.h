@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "index/codec.h"
 #include "index/cost_model.h"
@@ -12,20 +13,23 @@
 
 namespace csr {
 
-/// A posting list in either representation — uncompressed PostingList or
-/// block-compressed CompressedPostingList — with the cost counters a scan
-/// of it charges: what the conjunction engine (intersection.h) joins. It
-/// holds no scan state, so making one decodes nothing. size() is 0 for a
-/// missing term.
+/// A posting list in one of its representations — uncompressed
+/// PostingList, block-compressed CompressedPostingList, or a docid run
+/// whose tfs all read 1 (a materialized context set) — with the cost
+/// counters a scan of it charges: what the conjunction engine
+/// (intersection.h) joins. It holds no scan state, so making one decodes
+/// nothing. size() is 0 for a missing term.
 struct PostingRef {
   const PostingList* plain = nullptr;
   const CompressedPostingList* packed = nullptr;
   CostCounters* cost = nullptr;
+  /// Used when plain and packed are both null: strictly increasing docids.
+  std::span<const DocId> run = {};
 
   size_t size() const {
     return plain != nullptr    ? plain->size()
            : packed != nullptr ? packed->size()
-                               : 0;
+                               : run.size();
   }
 };
 

@@ -52,18 +52,6 @@ class PostingList {
     finished_ = false;
   }
 
-  /// Reserves room for `n` postings, so a caller that knows an upper bound
-  /// on the list's length appends without reallocating.
-  void Reserve(size_t n) { postings_.reserve(n); }
-
-  /// Releases whatever a Reserve left unused (one copy of the postings),
-  /// so AllocatedBytes equals MemoryBytes.
-  void ShrinkToFit() {
-    postings_.shrink_to_fit();
-    skip_.shrink_to_fit();
-    skip_max_tf_.shrink_to_fit();
-  }
-
   /// Finalizes the skip structure. Must be called after the last Append and
   /// before iteration. Idempotent.
   void FinishBuild();
@@ -83,14 +71,6 @@ class PostingList {
     return postings_.size() * sizeof(Posting) +
            skip_.size() * sizeof(DocId) +
            skip_max_tf_.size() * sizeof(uint32_t);
-  }
-
-  /// Bytes actually allocated (capacities, so a Reserve beyond the final
-  /// size counts).
-  uint64_t AllocatedBytes() const {
-    return postings_.capacity() * sizeof(Posting) +
-           skip_.capacity() * sizeof(DocId) +
-           skip_max_tf_.capacity() * sizeof(uint32_t);
   }
 
   /// Block-max probe mirroring CompressedPostingList::BlockBound: finds

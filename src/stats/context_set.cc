@@ -24,7 +24,7 @@ ContextSet ContextSet::Build(const InvertedIndex& content_index,
     shortest = std::min(shortest, lists.back().size());
   }
   // The shortest list bounds |D_P|, so one reservation covers every append.
-  set.docs_.Reserve(shortest);
+  set.docs_.reserve(shortest);
   // γ_count is the set's size and γ_sum(len) is summed as members arrive,
   // a window at a time, so the per-member work is one append and one add.
   std::span<const uint32_t> lengths = content_index.doc_lengths();
@@ -35,33 +35,22 @@ ContextSet ContextSet::Build(const InvertedIndex& content_index,
       if (range.active() && !(d < years.size() && range.Contains(years[d]))) {
         continue;
       }
-      set.docs_.Append(d, 1);
+      set.docs_.push_back(d);
       set.total_length_ += d < lengths.size() ? lengths[d] : 0;
     }
     window.clear();
   }
-  set.docs_.FinishBuild();
   // A multi-predicate or year-restricted set may fill a small part of the
   // reservation; a set outlives the query in the cache, so keep only its
   // members.
-  set.docs_.ShrinkToFit();
+  set.docs_.shrink_to_fit();
   set.complete_ = guard == nullptr || !guard->tripped();
   if (cost != nullptr) cost->aggregation_entries += set.Size();
   return set;
 }
 
 bool ContextSet::Contains(DocId d) const {
-  size_t lo = 0;
-  size_t hi = docs_.size();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (docs_.at(mid).doc < d) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo < docs_.size() && docs_.at(lo).doc == d;
+  return std::binary_search(docs_.begin(), docs_.end(), d);
 }
 
 KeywordCounts ContextSet::IntersectWith(PostingRef keyword, bool with_tc,
@@ -69,14 +58,13 @@ KeywordCounts ContextSet::IntersectWith(PostingRef keyword, bool with_tc,
                                         std::string* strategy) const {
   KeywordCounts counts;
   if (docs_.empty() || keyword.size() == 0) return counts;
-  const std::span<const Posting> members = docs_.postings();
   if (strategy != nullptr) {
-    *strategy = members.size() <= keyword.size() ? "blockwalk:set-drives"
-                                                 : "blockwalk:keyword-drives";
+    *strategy = docs_.size() <= keyword.size() ? "blockwalk:set-drives"
+                                               : "blockwalk:keyword-drives";
   }
   if (keyword.packed != nullptr) {
     const RunJoinResult r =
-        JoinRunWithList(members, *keyword.packed, with_tc, keyword.cost, guard);
+        JoinRunWithList(docs_, *keyword.packed, with_tc, keyword.cost, guard);
     counts.df = r.matches;
     counts.tc = r.tf_sum;
     return counts;

@@ -5,11 +5,11 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "index/cost_model.h"
 #include "index/inverted_index.h"
 #include "index/posting_cursor.h"
-#include "index/posting_list.h"
 #include "index/scan_guard.h"
 #include "util/types.h"
 
@@ -29,9 +29,10 @@ struct KeywordCounts {
 /// (m+1)-way join over the predicate lists. Retrieval then joins the
 /// keyword lists with the set instead of re-joining the m predicate lists.
 ///
-/// The docids are stored as a plain PostingList with tf = 1, so the set
-/// joins in the conjunction engine (index/intersection.h) as one more
-/// plain list, with no third representation. A complete set is immutable,
+/// The members are stored as a sorted docid array, 4 bytes each: the set
+/// joins in the conjunction engine (index/intersection.h) as a docid run
+/// whose tfs read 1, and its windows feed the SIMD kernels with no copy.
+/// A complete set is immutable,
 /// so one set can serve many queries at once: the engine's cross-query
 /// ContextSetCache (engine/context_set_cache.h) shares it by pointer, and
 /// each query's PreparedSearch holds it for as long as the query runs.
@@ -65,24 +66,23 @@ class ContextSet {
   uint64_t total_length() const { return total_length_; }
   /// False when a guard tripped during Build.
   bool complete() const { return complete_; }
-  /// Bytes allocated for the member list and this object, what a cache
-  /// charges against its budget. Build trims the list to its members, so
-  /// no reservation beyond them stays allocated (DESIGN.md §18).
+  /// Bytes allocated for the member array and this object, what a cache
+  /// charges against its budget: 4 per member. Build trims the array to
+  /// its members, so no reservation beyond them stays allocated
+  /// (DESIGN.md §18).
   uint64_t MemoryBytes() const {
-    return sizeof(*this) + docs_.AllocatedBytes();
+    return sizeof(*this) + docs_.capacity() * sizeof(DocId);
   }
 
   /// Membership by binary search over the sorted docids.
   bool Contains(DocId d) const;
 
-  /// A cursor over the members (tf = 1), charged to `cost`. Invalid when
-  /// the set is empty.
-  PostingCursor cursor(CostCounters* cost) const {
-    return PostingCursor(&docs_, cost);
-  }
-  /// The members as a list for the conjunction engine, charged to `cost`.
+  /// The members, ascending.
+  const std::vector<DocId>& docs() const { return docs_; }
+  /// The members as a docid run for the conjunction engine, charged to
+  /// `cost`.
   PostingRef ref(CostCounters* cost) const {
-    return PostingRef{&docs_, nullptr, cost};
+    return PostingRef{nullptr, nullptr, cost, docs_};
   }
 
   /// df and (when `with_tc`) tc of the keyword list `keyword` within the
@@ -97,7 +97,7 @@ class ContextSet {
                               std::string* strategy = nullptr) const;
 
  private:
-  PostingList docs_;
+  std::vector<DocId> docs_;
   uint64_t total_length_ = 0;
   bool complete_ = true;
 };

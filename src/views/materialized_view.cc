@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 namespace csr {
 
@@ -40,17 +41,83 @@ MaterializedView MaterializedView::Clone() const {
 }
 
 void MaterializedView::MergeFrom(const MaterializedView& other) {
-  Uncompact();
-  other.ForEachRow([&](TupleKey key, Row row) {
-    auto [it, inserted] = rows_.try_emplace(std::move(key), std::move(row));
-    if (inserted) return;
-    Row& mine = it->second;
-    mine.count += row.count;
-    mine.sum_len += row.sum_len;
-    for (size_t s = 0; s < row.df.size(); ++s) mine.df[s] += row.df[s];
-    for (size_t s = 0; s < row.tc.size(); ++s) mine.tc[s] += row.tc[s];
-  });
+  assert(other.compacted_);
   Compact();
+  const ColumnStore& a = store_;
+  const ColumnStore& b = other.store_;
+  const size_t sig_words = (def_.num_columns() + 63) / 64;
+  const std::vector<uint64_t> sig_a = RowSignatures();
+  const std::vector<uint64_t> sig_b = other.RowSignatures();
+  auto bucket = [](const ColumnStore& s, size_t r) {
+    return s.buckets.empty() ? uint16_t{0} : s.buckets[r];
+  };
+  // Both stores are sorted by (bucket, signature words): one two-pointer
+  // pass pairs the rows, each output row taking a row of either side or
+  // of both (kNone marks the missing side).
+  constexpr size_t kNone = SIZE_MAX;
+  std::vector<std::pair<size_t, size_t>> pairs;
+  pairs.reserve(a.rows + b.rows);
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.rows || j < b.rows) {
+    int order = i == a.rows ? 1 : j == b.rows ? -1 : 0;
+    if (order == 0 && bucket(a, i) != bucket(b, j)) {
+      order = bucket(a, i) < bucket(b, j) ? -1 : 1;
+    }
+    if (order == 0) {
+      const uint64_t* wa = sig_a.data() + i * sig_words;
+      const uint64_t* wb = sig_b.data() + j * sig_words;
+      const auto [ea, eb] = std::mismatch(wa, wa + sig_words, wb);
+      if (ea != wa + sig_words) order = *ea < *eb ? -1 : 1;
+    }
+    pairs.emplace_back(order <= 0 ? i++ : kNone, order >= 0 ? j++ : kNone);
+  }
+
+  const size_t n = pairs.size();
+  ColumnStore m;
+  m.rows = n;
+  m.words = (n + 63) / 64;
+  m.bitmaps.assign(def_.num_columns() * m.words, 0);
+  if (options_.year_bucket_size > 0) m.buckets.resize(n);
+  m.counts.resize(n);
+  m.sum_lens.resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    const auto [ra, rb] = pairs[r];
+    const uint64_t* words = ra != kNone ? sig_a.data() + ra * sig_words
+                                        : sig_b.data() + rb * sig_words;
+    for (size_t k = 0; k < sig_words; ++k) {
+      for (uint64_t bits = words[k]; bits != 0; bits &= bits - 1) {
+        size_t c = k * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+        m.bitmaps[c * m.words + r / 64] |= 1ULL << (r % 64);
+      }
+    }
+    if (!m.buckets.empty()) {
+      m.buckets[r] = ra != kNone ? a.buckets[ra] : b.buckets[rb];
+    }
+    m.counts[r] = (ra != kNone ? a.counts[ra] : 0) +
+                  (rb != kNone ? b.counts[rb] : 0);
+    m.sum_lens[r] = (ra != kNone ? a.sum_lens[ra] : 0) +
+                    (rb != kNone ? b.sum_lens[rb] : 0);
+  }
+  // The parameter columns, slot by slot.
+  auto sum_columns = [&](bool tracked, const std::vector<uint32_t>& ca,
+                         const std::vector<uint32_t>& cb,
+                         std::vector<uint32_t>& out) {
+    if (!tracked) return;
+    out.resize(size_t{num_tracked_} * n);
+    for (uint32_t slot = 0; slot < num_tracked_; ++slot) {
+      const uint32_t* sa = ca.data() + size_t{slot} * a.rows;
+      const uint32_t* sb = cb.data() + size_t{slot} * b.rows;
+      uint32_t* dst = out.data() + size_t{slot} * n;
+      for (size_t r = 0; r < n; ++r) {
+        const auto [ra, rb] = pairs[r];
+        dst[r] = (ra != kNone ? sa[ra] : 0) + (rb != kNone ? sb[rb] : 0);
+      }
+    }
+  };
+  sum_columns(options_.track_df, a.df, b.df, m.df);
+  sum_columns(options_.track_tc, a.tc, b.tc, m.tc);
+  store_ = std::move(m);
 }
 
 bool MaterializedView::RangeAnswerable(YearRange range) const {
@@ -210,11 +277,9 @@ void MaterializedView::Compact() {
   compacted_ = true;
 }
 
-void MaterializedView::ForEachRow(
-    const std::function<void(TupleKey, Row)>& fn) const {
+std::vector<uint64_t> MaterializedView::RowSignatures() const {
   assert(compacted_);
   const ColumnStore& s = store_;
-  // Row r's signature words, from the set bits of every column bitmap.
   const size_t sig_words = (def_.num_columns() + 63) / 64;
   std::vector<uint64_t> sigs(s.rows * sig_words, 0);
   for (size_t c = 0; c < def_.num_columns(); ++c) {
@@ -226,6 +291,14 @@ void MaterializedView::ForEachRow(
       }
     }
   }
+  return sigs;
+}
+
+void MaterializedView::ForEachRow(
+    const std::function<void(TupleKey, Row)>& fn) const {
+  const ColumnStore& s = store_;
+  const size_t sig_words = (def_.num_columns() + 63) / 64;
+  const std::vector<uint64_t> sigs = RowSignatures();
   auto gather = [&](const std::vector<uint32_t>& column, size_t r) {
     std::vector<uint32_t> cells;
     if (column.empty()) return cells;

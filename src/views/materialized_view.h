@@ -36,7 +36,7 @@ struct ViewParamOptions {
 /// df (and optionally tc).
 ///
 /// A view has two forms. The build form is a hash map keyed by (signature,
-/// year bucket), which AddDocument and MergeFrom upsert into. The serving
+/// year bucket), which AddDocument upserts into. The serving
 /// form, made by Compact(), is a column store (DESIGN.md §19): rows sorted
 /// by (bucket, signature), one row bitmap per keyword column, and the
 /// aggregate and parameter columns stored column-major. ComputeStats reads
@@ -113,8 +113,9 @@ class MaterializedView {
   MaterializedView Clone() const;
 
   /// Folds another (compacted) view's rows into this one (tuple-wise sums
-  /// of count, sum_len, and the df/tc parameter columns) through the build
-  /// form, and compacts the result. Both views must share the same
+  /// of count, sum_len, and the df/tc parameter columns) by one linear
+  /// merge of the two column stores, both sorted by (bucket, signature),
+  /// into a new store; this view is compacted first. Both views must share the same
   /// definition, options, and tracked-keyword table; this is the physical
   /// merge of a per-segment delta into its base view, and because every
   /// aggregate is an integer sum it reproduces exactly what a scratch build
@@ -149,6 +150,7 @@ class MaterializedView {
 
  private:
   friend class ViewSerializer;  // persistence (storage/snapshot.cc)
+  friend struct MaterializedViewTestPeer;  // field-level checks in tests
 
   struct Row {
     uint64_t count = 0;
@@ -191,6 +193,10 @@ class MaterializedView {
     std::vector<uint32_t> df;
     std::vector<uint32_t> tc;
   };
+
+  /// Row r's signature words at [r * w, (r + 1) * w), w = ⌈columns / 64⌉,
+  /// gathered from the column bitmaps. Compacted views only.
+  std::vector<uint64_t> RowSignatures() const;
 
   /// Calls fn(key, row) for each row of the column store, in store order,
   /// with the build form's key and row rebuilt from the bitmaps and

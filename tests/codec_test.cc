@@ -582,14 +582,11 @@ KernelRuns RunKernels(const CompressedPostingList& a,
       a, b, &r.cost_a, &r.cost_b, [&](std::span<const DocId> docs) {
         r.pairwise.insert(r.pairwise.end(), docs.begin(), docs.end());
       });
-  std::vector<Posting> run;
   std::vector<DocId> run_docs;
   const std::vector<Posting> bs = b.Decode();
-  for (size_t i = 0; i < bs.size(); i += 2) {
-    run.push_back(bs[i]);
-    run_docs.push_back(bs[i].doc);
-  }
-  r.join = JoinRunWithList(run, a, /*with_tf=*/true, &r.cost_a, nullptr);
+  for (size_t i = 0; i < bs.size(); i += 2) run_docs.push_back(bs[i].doc);
+  r.join =
+      JoinRunWithList(run_docs, a, /*with_tf=*/true, &r.cost_a, nullptr);
   SemiJoinRunWithList(run_docs, a, &r.cost_a, nullptr,
                       [&](std::span<const DocId> docs) {
                         r.semijoin.insert(r.semijoin.end(), docs.begin(),

@@ -157,8 +157,8 @@ TEST(ContextSetCacheTest, ChargesWhatAYearRestrictedMultiPredicateSetHolds) {
   auto set = std::make_shared<const ContextSet>(
       ContextSet::Build(index, index, context, nullptr, years, y1990));
   ASSERT_EQ(set->Size(), 61u);
-  const PostingList& members = *set->ref(nullptr).plain;
-  EXPECT_EQ(members.AllocatedBytes(), members.MemoryBytes())
+  const std::vector<DocId>& members = set->docs();
+  EXPECT_EQ(members.capacity(), members.size())
       << "the set keeps its reservation";
 
   const TermIdSet key = *ContextSetCache::Key(SearchPart{}, context, y1990);
@@ -168,7 +168,28 @@ TEST(ContextSetCacheTest, ChargesWhatAYearRestrictedMultiPredicateSetHolds) {
   EXPECT_EQ(cache.bytes(), EntryBytes(key, *set));
   EXPECT_GE(cache.bytes(), ContextSetCache::kEntryOverheadBytes +
                                key.size() * sizeof(TermId) +
-                               sizeof(ContextSet) + members.AllocatedBytes());
+                               sizeof(ContextSet) +
+                               members.capacity() * sizeof(DocId));
+}
+
+TEST(ContextSetCacheTest, ABudgetHoldsTwiceTheSetsOfAPostingForm) {
+  // A set charges 4 bytes per member. Stored as (doc, tf) postings it
+  // would charge 8, so a budget with room for 4.5 such entries held 4
+  // sets of 8000 members; it now holds 8.
+  const InvertedIndex index = Multiples(8000, 1);
+  auto set = SetOf(index, 0);
+  ASSERT_EQ(set->Size(), 8000u);
+  const uint64_t posting_entry = ContextSetCache::kEntryOverheadBytes +
+                                 sizeof(TermId) + sizeof(ContextSet) +
+                                 set->Size() * sizeof(Posting);
+  const uint64_t budget = 4 * posting_entry + posting_entry / 2;
+  ASSERT_EQ(budget / posting_entry, 4u);
+  MetricsRegistry registry;
+  ContextSetCache cache(budget, registry, /*num_shards=*/1);
+  for (TermId t = 0; t < 8; ++t) cache.Put(KeyOf(t), set);
+  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_LE(cache.bytes(), budget);
+  for (TermId t = 0; t < 8; ++t) EXPECT_EQ(cache.Get(KeyOf(t)), set);
 }
 
 TEST(ContextSetCacheTest, KeysNameOneDocumentSet) {
@@ -332,8 +353,8 @@ TEST(ContextSetCacheEngineTest, CachedSetsAreChargedTheirAllocation) {
       ContextSet::Build(engine->content_index(), engine->predicate_index(),
                         q.context, nullptr, years, q.years);
   ASSERT_EQ(set.Size(), r->stats.cardinality);
-  const PostingList& members = *set.ref(nullptr).plain;
-  EXPECT_EQ(members.AllocatedBytes(), members.MemoryBytes());
+  const std::vector<DocId>& members = set.docs();
+  EXPECT_EQ(members.capacity(), members.size());
   const TermIdSet key = *ContextSetCache::Key(SearchPart{}, q.context, q.years);
   EXPECT_EQ(cache->bytes(), EntryBytes(key, set));
 }

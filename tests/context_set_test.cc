@@ -186,9 +186,18 @@ TEST_P(ContextSetDifferentialTest, MatchesDocumentScan) {
       EXPECT_EQ(cost.aggregation_entries, set.Size());
       got_size += set.Size();
       got_len += set.total_length();
-      for (PostingCursor c = set.cursor(nullptr); !c.AtEnd(); c.Next()) {
-        EXPECT_EQ(c.tf(), 1u);
-        got_docs.push_back(part->base + c.doc());
+      for (DocId d : set.docs()) got_docs.push_back(part->base + d);
+      if (set.Size() > 0) {
+        // The members join as a docid run whose tfs read 1.
+        const PostingRef lists[] = {set.ref(nullptr)};
+        Conjunction conj(lists);
+        std::vector<DocId> members;
+        while (conj.Next(members)) {
+        }
+        EXPECT_EQ(members, set.docs());
+        std::vector<uint32_t> tfs(members.size());
+        conj.Tfs(0, members, tfs.data());
+        for (uint32_t tf : tfs) EXPECT_EQ(tf, 1u);
       }
       for (DocId d = 0; d < part->years.size(); ++d) {
         EXPECT_EQ(set.Contains(d), std::binary_search(want.docs.begin(),
@@ -249,7 +258,7 @@ TEST(ContextSetTest, EmptyAndUnknownContextsAreEmptyAndComplete) {
   ContextSet none = ContextSet::Build(p.content, p.predicate, {});
   EXPECT_EQ(none.Size(), 0u);
   EXPECT_TRUE(none.complete());
-  EXPECT_FALSE(none.cursor(nullptr).valid());
+  EXPECT_TRUE(none.docs().empty());
   std::vector<TermId> unknown = {0, 900000};
   ContextSet empty = ContextSet::Build(p.content, p.predicate, unknown);
   EXPECT_EQ(empty.Size(), 0u);

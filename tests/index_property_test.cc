@@ -9,6 +9,7 @@
 #include "index/intersection.h"
 #include "index/posting_list.h"
 #include "index/scan_guard.h"
+#include "index/simd_unpack.h"
 #include "util/random.h"
 
 namespace csr {
@@ -246,6 +247,395 @@ TEST(ConjunctionWindowsTest, ResumesAcrossWindowsAndTripsToAPrefix) {
       EXPECT_EQ(got.size(), prefix) << "rep " << r;
     }
     EXPECT_GT(prefix, 0u);
+  }
+}
+
+// -- The run⋈block walk against brute force ---------------------------------
+//
+// JoinRunWithList, SemiJoinRunWithList and Conjunctions over a docid run
+// (a materialized context set) meet each window of run docids with the one
+// list block it falls in. WalkCharges below is the reference for what that
+// walk charges; it reads only the list's block directory and block bytes,
+// never the kernel that intersects the window with the block.
+
+/// `n` distinct docids drawn from [0, universe), ascending; when `from` is
+/// non-empty, about half of them are drawn from it.
+std::vector<DocId> SampleDocs(SplitMix64& rng, size_t n, uint32_t universe,
+                              const std::vector<DocId>& from = {}) {
+  std::vector<bool> taken(universe, false);
+  size_t got = 0;
+  while (got < n) {
+    const DocId d = !from.empty() && rng.NextBool(0.5)
+                        ? from[rng.NextBounded(from.size())]
+                        : static_cast<DocId>(rng.NextBounded(universe));
+    if (!taken[d]) {
+      taken[d] = true;
+      ++got;
+    }
+  }
+  std::vector<DocId> docs;
+  for (DocId d = 0; d < universe; ++d) {
+    if (taken[d]) docs.push_back(d);
+  }
+  return docs;
+}
+
+uint32_t TfOf(DocId d) { return d % 7 + 1; }
+
+CompressedPostingList Packed(const std::vector<DocId>& docs,
+                             CodecPolicy policy) {
+  std::vector<Posting> postings;
+  for (DocId d : docs) postings.push_back(Posting{d, TfOf(d)});
+  return CompressedPostingList::FromPostings(postings, 128, policy);
+}
+
+/// The charges of the run⋈block walk over one compressed list, resumable
+/// across calls as a Conjunction's list side is. Per window — the run
+/// docids that fall in one list block — one entries_scanned per window
+/// docid; a bitmap block meeting a window at most twice its size (when no
+/// tfs are needed) is probed by bit tests and charged its view, any other
+/// block is decoded and charged its docid section plus one
+/// entries_scanned per posting; a block holding a match charges its tf
+/// section when tfs are needed. Seeking past blocks counts skips_taken and
+/// blocks_skipped.
+class WalkCharges {
+ public:
+  explicit WalkCharges(const CompressedPostingList& list) : list_(list) {}
+
+  const CostCounters& cost() const { return cost_; }
+
+  void Walk(std::span<const DocId> run, bool with_tf) {
+    if (run.empty() || list_.empty()) return;
+    const auto blocks = list_.blocks();
+    const bool run_drives = run.size() <= list_.size();
+    size_t i = 0;
+    while (i < run.size()) {
+      if (!Seek(run[i])) break;
+      const auto& meta = blocks[cur_];
+      const size_t end = static_cast<size_t>(
+          std::upper_bound(run.begin() + i, run.end(), meta.max_doc) -
+          run.begin());
+      const std::span<const DocId> window = run.subspan(i, end - i);
+      i = end;
+      // A shorter list counts its ticks in a block reaching past the run.
+      if (!run_drives && meta.max_doc > run.back()) ChargeDocs();
+      cost_.entries_scanned += window.size();
+      if (!with_tf && list_.BlockCodecTag(cur_) == BlockCodec::kBitmap &&
+          window.size() <= 2 * meta.count) {
+        std::string_view raw = list_.BlockBytes(cur_);
+        auto view = BitmapBlockCodec::MakeView(raw.substr(1), meta.base);
+        ASSERT_TRUE(view.ok());
+        Charge(1 + 5 + (static_cast<size_t>(view->range) + 7) / 8);
+        continue;
+      }
+      std::span<const DocId> docs = ChargeDocs();
+      cost_.entries_scanned += docs.size();
+      const bool hit = std::find_first_of(window.begin(), window.end(),
+                                          docs.begin(), docs.end()) !=
+                       window.end();
+      if (with_tf && hit && !tfs_charged_) {
+        tfs_charged_ = true;
+        cost_.bytes_touched += list_.BlockBytes(cur_).size() - (1 + tf_offset_);
+      }
+    }
+  }
+
+ private:
+  bool Seek(DocId d) {
+    const auto blocks = list_.blocks();
+    if (cur_ >= blocks.size()) return false;
+    if (blocks[cur_].max_doc >= d) return true;
+    size_t next = cur_;
+    while (next < blocks.size() && blocks[next].max_doc < d) ++next;
+    cost_.skips_taken++;
+    if (next > cur_ + 1) cost_.blocks_skipped += next - cur_ - 1;
+    cur_ = next;
+    charged_ = false;
+    tfs_charged_ = false;
+    return cur_ < blocks.size();
+  }
+
+  void Charge(size_t bytes) {
+    if (charged_) return;
+    charged_ = true;
+    cost_.segments_touched++;
+    cost_.bytes_touched += bytes;
+  }
+
+  std::span<const DocId> ChargeDocs() {
+    std::span<const DocId> docs = list_.LoadDocs(cur_, own_, &tf_offset_);
+    Charge(1 + tf_offset_);
+    return docs;
+  }
+
+  const CompressedPostingList& list_;
+  CostCounters cost_;
+  size_t cur_ = 0;
+  bool charged_ = false;
+  bool tfs_charged_ = false;
+  size_t tf_offset_ = 0;
+  std::vector<DocId> own_;
+};
+
+void ExpectSameCost(const CostCounters& got, const CostCounters& want) {
+  EXPECT_EQ(got.entries_scanned, want.entries_scanned);
+  EXPECT_EQ(got.segments_touched, want.segments_touched);
+  EXPECT_EQ(got.bytes_touched, want.bytes_touched);
+  EXPECT_EQ(got.skips_taken, want.skips_taken);
+  EXPECT_EQ(got.blocks_skipped, want.blocks_skipped);
+}
+
+std::vector<DocId> Intersect(const std::vector<DocId>& a,
+                             const std::vector<DocId>& b) {
+  std::vector<DocId> out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+  return out;
+}
+
+/// The docids of `s` whose ticks are paid, by the join tick rule, before a
+/// budget of `budget` ticks trips: the first `budget` of them no greater
+/// than `other`'s last docid.
+std::vector<DocId> PaidPrefix(const std::vector<DocId>& s,
+                              const std::vector<DocId>& other,
+                              uint64_t budget) {
+  std::vector<DocId> paid;
+  for (DocId d : s) {
+    if (d > other.back() || paid.size() == budget) break;
+    paid.push_back(d);
+  }
+  return paid;
+}
+
+std::vector<UnpackLevel> SupportedLevels() {
+  std::vector<UnpackLevel> levels;
+  for (UnpackLevel l :
+       {UnpackLevel::kScalar, UnpackLevel::kSse2, UnpackLevel::kAvx2}) {
+    if (UnpackLevelSupported(l)) levels.push_back(l);
+  }
+  return levels;
+}
+
+constexpr CodecPolicy kPolicies[] = {CodecPolicy::kAuto,
+                                     CodecPolicy::kVarintOnly,
+                                     CodecPolicy::kForOnly,
+                                     CodecPolicy::kBitmapPreferred};
+
+/// (run size, list size) pairs at run/list ratios 1, 4, 8, 64 and 1024 in
+/// both directions: around the walk's old 8x merge/gallop switch and
+/// SimdIntersect's wide-probe and gallop thresholds.
+std::vector<std::pair<size_t, size_t>> RatioShapes() {
+  std::vector<std::pair<size_t, size_t>> shapes = {{3000, 3000}};
+  for (size_t ratio : {4, 8, 64, 1024}) {
+    const size_t small = std::max<size_t>(40, 24000 / ratio);
+    shapes.push_back({small, small * ratio});
+    shapes.push_back({small * ratio, small});
+  }
+  return shapes;
+}
+
+struct LevelOverride {
+  explicit LevelOverride(UnpackLevel l) { SetUnpackLevelForTest(l); }
+  ~LevelOverride() { ClearUnpackLevelOverride(); }
+};
+
+TEST(RunJoinDifferentialTest, JoinAndSemiJoinMatchBruteForce) {
+  SplitMix64 rng(2024);
+  for (auto [nrun, nlist] : RatioShapes()) {
+    const uint32_t universe = static_cast<uint32_t>(2 * std::max(nrun, nlist));
+    const std::vector<DocId> ldocs = SampleDocs(rng, nlist, universe);
+    const std::vector<DocId> run = SampleDocs(rng, nrun, universe, ldocs);
+    const std::vector<DocId> want = Intersect(run, ldocs);
+    uint64_t want_tf = 0;
+    for (DocId d : want) want_tf += TfOf(d);
+    const bool run_drives = nrun <= nlist;
+    const std::vector<DocId>& s = run_drives ? run : ldocs;
+    const std::vector<DocId>& l = run_drives ? ldocs : run;
+    const uint64_t ticks = PaidPrefix(s, l, s.size()).size();
+    ASSERT_GT(want.size(), 0u);
+    for (CodecPolicy policy : kPolicies) {
+      const CompressedPostingList list = Packed(ldocs, policy);
+      for (UnpackLevel level : SupportedLevels()) {
+        LevelOverride pin(level);
+        for (bool with_tf : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << nrun << " run x " << nlist << " list, policy "
+                       << static_cast<int>(policy) << ", level "
+                       << static_cast<int>(level) << ", tf " << with_tf);
+          WalkCharges charges(list);
+          charges.Walk(run, with_tf);
+          CostCounters cost;
+          ScanGuard guard(0, 0);
+          const RunJoinResult r =
+              JoinRunWithList(run, list, with_tf, &cost, &guard);
+          EXPECT_EQ(r.matches, want.size());
+          EXPECT_EQ(r.tf_sum, with_tf ? want_tf : 0);
+          EXPECT_FALSE(r.aborted);
+          EXPECT_EQ(guard.ticks(), ticks);
+          ExpectSameCost(cost, charges.cost());
+
+          // A budget trips on the same tick and the matches are those of
+          // the paid docid prefix of the shorter side.
+          const uint64_t budget = ticks / 2;
+          const std::vector<DocId> paid = PaidPrefix(s, l, budget);
+          const std::vector<DocId> prefix = Intersect(paid, l);
+          uint64_t prefix_tf = 0;
+          for (DocId d : prefix) prefix_tf += TfOf(d);
+          ScanGuard bounded(0, budget);
+          const RunJoinResult b =
+              JoinRunWithList(run, list, with_tf, nullptr, &bounded);
+          EXPECT_TRUE(b.aborted);
+          EXPECT_EQ(bounded.ticks(), budget + 1);
+          EXPECT_EQ(b.matches, prefix.size());
+          if (with_tf) {
+            EXPECT_EQ(b.tf_sum, prefix_tf);
+            continue;
+          }
+
+          // The semijoin hands over the matches themselves, same charges.
+          CostCounters semi_cost;
+          ScanGuard semi_guard(0, 0);
+          std::vector<DocId> got;
+          const RunJoinResult sr = SemiJoinRunWithList(
+              run, list, &semi_cost, &semi_guard,
+              [&](std::span<const DocId> docs) {
+                EXPECT_LE(docs.size(), kPairwiseBatch);
+                got.insert(got.end(), docs.begin(), docs.end());
+              });
+          EXPECT_EQ(got, want);
+          EXPECT_EQ(sr.matches, want.size());
+          EXPECT_EQ(semi_guard.ticks(), ticks);
+          ExpectSameCost(semi_cost, charges.cost());
+          got.clear();
+          ScanGuard semi_bounded(0, budget);
+          SemiJoinRunWithList(run, list, nullptr, &semi_bounded,
+                              [&](std::span<const DocId> docs) {
+                                got.insert(got.end(), docs.begin(),
+                                           docs.end());
+                              });
+          EXPECT_EQ(got, prefix);
+        }
+      }
+    }
+  }
+}
+
+TEST(RunJoinDifferentialTest, ConjunctionsOverARunMatchBruteForce) {
+  SplitMix64 rng(4048);
+  for (auto [nrun, nlist] : RatioShapes()) {
+    const uint32_t universe = static_cast<uint32_t>(2 * std::max(nrun, nlist));
+    std::vector<std::vector<DocId>> ldocs;
+    for (int k = 0; k < 3; ++k) {
+      ldocs.push_back(SampleDocs(rng, nlist + 16 * k, universe,
+                                 k == 0 ? std::vector<DocId>{} : ldocs[0]));
+    }
+    const std::vector<DocId> run = SampleDocs(rng, nrun, universe, ldocs[0]);
+    for (size_t num_lists : {3, 4}) {
+      // The run first, then the lists: ascending size when the run is
+      // shortest (the ratio-1 tie keeps the run first).
+      std::vector<DocId> want = run;
+      for (size_t k = 0; k + 1 < num_lists; ++k) {
+        want = Intersect(want, ldocs[k]);
+      }
+      // Ticks pay for the shortest list's docids up to the second's last.
+      std::vector<const std::vector<DocId>*> by_size = {&run};
+      for (size_t k = 0; k + 1 < num_lists; ++k) by_size.push_back(&ldocs[k]);
+      std::stable_sort(by_size.begin(), by_size.end(),
+                       [](auto* a, auto* b) { return a->size() < b->size(); });
+      const uint64_t ticks =
+          PaidPrefix(*by_size[0], *by_size[1], by_size[0]->size()).size();
+      for (CodecPolicy policy : kPolicies) {
+        std::vector<CompressedPostingList> lists;
+        for (size_t k = 0; k + 1 < num_lists; ++k) {
+          lists.push_back(Packed(ldocs[k], policy));
+        }
+        std::vector<CostCounters> costs(num_lists);
+        std::vector<PostingRef> refs = {{nullptr, nullptr, &costs[0], run}};
+        for (size_t k = 0; k < lists.size(); ++k) {
+          refs.push_back({nullptr, &lists[k], &costs[k + 1]});
+        }
+        std::vector<CostCounters> level0;
+        for (UnpackLevel level : SupportedLevels()) {
+          LevelOverride pin(level);
+          SCOPED_TRACE(::testing::Message()
+                       << nrun << " run x " << nlist << " lists, " << num_lists
+                       << " lists, policy " << static_cast<int>(policy)
+                       << ", level " << static_cast<int>(level));
+          std::fill(costs.begin(), costs.end(), CostCounters{});
+          ScanGuard guard(0, 0);
+          Conjunction conj(refs, &guard);
+          std::vector<DocId> got;
+          while (conj.Next(got)) {
+          }
+          EXPECT_EQ(got, want);
+          EXPECT_EQ(guard.ticks(), ticks);
+          EXPECT_FALSE(conj.aborted());
+          if (nrun <= nlist) {
+            // The run drives: each window of it walks the second list,
+            // and its survivors each further list, every side resuming.
+            std::vector<WalkCharges> charges;
+            for (const CompressedPostingList& l : lists) {
+              charges.emplace_back(l);
+            }
+            for (size_t from = 0; from < run.size();) {
+              const size_t to =
+                  std::min(run.size(), from + Conjunction::kWindow);
+              std::vector<DocId> survivors(run.begin() + from,
+                                           run.begin() + to);
+              for (size_t k = 0; k < lists.size() && !survivors.empty();
+                   ++k) {
+                charges[k].Walk(survivors, false);
+                survivors = Intersect(survivors, ldocs[k]);
+              }
+              from = to;
+              if (from < run.size() && run[from] > ldocs[0].back()) break;
+            }
+            for (size_t k = 0; k < lists.size(); ++k) {
+              ExpectSameCost(costs[k + 1], charges[k].cost());
+            }
+          }
+          // Costs come from window and block sizes alone: the same at
+          // every dispatch level.
+          if (level0.empty()) level0 = costs;
+          for (size_t k = 0; k < costs.size(); ++k) {
+            ExpectSameCost(costs[k], level0[k]);
+          }
+
+          // A budget stops the chain on a docid prefix of the answer: the
+          // answer's docids up to the last paid candidate.
+          const uint64_t budget = ticks / 2;
+          const std::vector<DocId> paid =
+              PaidPrefix(*by_size[0], *by_size[1], budget);
+          std::vector<DocId> prefix;
+          for (DocId d : want) {
+            if (!paid.empty() && d <= paid.back()) prefix.push_back(d);
+          }
+          ScanGuard bounded(0, budget);
+          Conjunction limited(refs, &bounded);
+          std::vector<DocId> part;
+          while (limited.Next(part)) {
+          }
+          EXPECT_TRUE(limited.aborted());
+          EXPECT_EQ(bounded.ticks(), budget + 1);
+          EXPECT_EQ(part, prefix);
+          EXPECT_EQ(Conjunction(refs).Count(), want.size());
+
+          // The run's tfs read 1; the lists' are their own.
+          Conjunction with_tfs(refs);
+          std::vector<DocId> window;
+          std::vector<uint32_t> tfs;
+          for (; with_tfs.Next(window); window.clear()) {
+            tfs.resize(window.size());
+            for (size_t i = 0; i < refs.size(); ++i) {
+              with_tfs.Tfs(i, window, tfs.data());
+              for (size_t j = 0; j < window.size(); ++j) {
+                EXPECT_EQ(tfs[j], i == 0 ? 1 : TfOf(window[j]));
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }
 

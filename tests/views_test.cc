@@ -26,6 +26,47 @@
 #include "views/wide_table.h"
 
 namespace csr {
+
+/// Reaches a view's column store, and the hash-form merge that MergeFrom's
+/// linear merge replaced: upsert the other view's rows into the build
+/// form, then Compact.
+struct MaterializedViewTestPeer {
+  static void HashFormMerge(MaterializedView& view,
+                            const MaterializedView& other) {
+    view.Uncompact();
+    other.ForEachRow(
+        [&](MaterializedView::TupleKey key, MaterializedView::Row row) {
+          auto [it, inserted] =
+              view.rows_.try_emplace(std::move(key), std::move(row));
+          if (inserted) return;
+          MaterializedView::Row& mine = it->second;
+          mine.count += row.count;
+          mine.sum_len += row.sum_len;
+          for (size_t s = 0; s < row.df.size(); ++s) mine.df[s] += row.df[s];
+          for (size_t s = 0; s < row.tc.size(); ++s) mine.tc[s] += row.tc[s];
+        });
+    view.Compact();
+  }
+
+  static void ExpectSameStore(const MaterializedView& got,
+                              const MaterializedView& want,
+                              const std::string& what) {
+    ASSERT_TRUE(got.compacted()) << what;
+    ASSERT_TRUE(want.compacted()) << what;
+    const MaterializedView::ColumnStore& g = got.store_;
+    const MaterializedView::ColumnStore& w = want.store_;
+    EXPECT_EQ(g.rows, w.rows) << what;
+    EXPECT_EQ(g.words, w.words) << what;
+    EXPECT_EQ(g.bitmaps, w.bitmaps) << what;
+    EXPECT_EQ(g.buckets, w.buckets) << what;
+    EXPECT_EQ(g.counts, w.counts) << what;
+    EXPECT_EQ(g.sum_lens, w.sum_lens) << what;
+    EXPECT_EQ(g.df, w.df) << what;
+    EXPECT_EQ(g.tc, w.tc) << what;
+    EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes()) << what;
+  }
+};
+
 namespace {
 
 TEST(BitSignatureTest, SetTestAndPopCount) {
@@ -533,6 +574,42 @@ TEST(ViewColumnStoreTest, MergeCloneAndRebuildKeepTheAnswers) {
     ExpectMatchesOracle(grown, columns, docs, YearRange{1980, 1989},
                         what + " grown");
     EXPECT_EQ(grown.MemoryBytes(), scratch.MemoryBytes()) << what;
+  }
+}
+
+// MergeFrom merges the two sorted column stores in one pass; the store it
+// writes is the one the hash-form merge compacted to, field by field.
+TEST(ViewColumnStoreTest, LinearMergeWritesTheHashFormMergesStore) {
+  for (uint32_t columns : {9u, 65u, 130u}) {
+    for (bool track_tc : {false, true}) {
+      for (uint16_t bucket : {uint16_t{0}, uint16_t{5}}) {
+        ViewParamOptions options;
+        options.track_tc = track_tc;
+        options.year_bucket_size = bucket;
+        const std::string what = std::to_string(columns) + " columns, tc " +
+                                 std::to_string(track_tc) + ", bucket " +
+                                 std::to_string(bucket);
+        const std::vector<OracleDoc> docs = RandomDocs(columns, 900, columns);
+        const std::span<const OracleDoc> all(docs);
+        // Disjoint halves, an overlapping part, and an empty side.
+        const std::pair<std::span<const OracleDoc>, std::span<const OracleDoc>>
+            cases[] = {{all.first(400), all.subspan(400)},
+                       {all.first(600), all.first(150)},
+                       {all.first(300), {}},
+                       {{}, all.subspan(700)}};
+        for (const auto& [base, delta] : cases) {
+          MaterializedView merged = OracleView(columns, options, base);
+          merged.MergeFrom(OracleView(columns, options, delta));
+          MaterializedView hashed = OracleView(columns, options, base);
+          MaterializedViewTestPeer::HashFormMerge(
+              hashed, OracleView(columns, options, delta));
+          MaterializedViewTestPeer::ExpectSameStore(
+              merged, hashed,
+              what + ", " + std::to_string(base.size()) + " + " +
+                  std::to_string(delta.size()));
+        }
+      }
+    }
   }
 }
 

@@ -52,10 +52,13 @@ baselines don't turn scheduler jitter into failures).
 fresh and fails if the SIMD intersection kernels lose their edge over the
 scalar reference kernels measured in the same run: the near-equal pairwise
 bucket must hold --intersect-near-floor speedup and the ratio-4096 gallop
-bucket --intersect-gallop-floor. Kernel selection (which kernel each ratio
-bucket picks), exact result cardinalities, and the selector thresholds are
-cross-checked against the committed baseline, which catches silent
-selector or correctness rot that Mv/s alone would miss. On a
+bucket --intersect-gallop-floor. The run⋈block walk's SIMD windows must
+stay RUN_JOIN_FLOOR times as fast as the scalar window merge on the
+run_join section's ratio-8 bucket. Kernel selection (which kernel each
+ratio bucket picks), exact result cardinalities of both sections, and the
+selector thresholds are cross-checked against the committed baseline,
+which catches silent selector or correctness rot that Mv/s alone would
+miss. On a
 CSR_FORCE_SCALAR build (dispatch_level "scalar") the speedup floors are
 skipped — both arms run the same scalar code — but the deterministic
 cross-checks still apply.
@@ -385,6 +388,18 @@ INTERSECT_BUCKETS = ("near_equal", "ratio_8", "ratio_32", "ratio_64",
 INTERSECT_EXACT_FIELDS = ("kernel", "ratio", "rare_size", "freq_size",
                           "result")
 
+# Ratio buckets of the same bench's run_join section (the run⋈block walk
+# with its windows through SimdIntersect, timed against the scalar window
+# merge it replaced), and their deterministic fields.
+RUN_JOIN_BUCKETS = ("ratio_1", "ratio_8", "ratio_64")
+RUN_JOIN_EXACT_FIELDS = ("ratio", "run_size", "list_size", "result")
+
+# Smallest allowed SIMD / scalar speedup of the run⋈block walk on its
+# ratio-8 bucket. Measured 1.12-1.37x on a 4-vCPU AVX2 guest (ratio 1 read
+# 0.89-1.07x, ratio 64 1.00-1.14x): the windows may not fall behind the
+# scalar merge where the kernels lead.
+RUN_JOIN_FLOOR = 1.0
+
 # Largest allowed straightforward-plan / context-conjunction time ratio on
 # the Figure 8 pool (--context-set-bench).
 CONTEXT_SET_CEILING = 2.0
@@ -428,6 +443,18 @@ def check_intersect_exact(report, baseline):
                 failures.append(
                     f"intersect_kernels.{bucket}.{field}: fresh run "
                     f"{got!r} != baseline {want!r}")
+    base_join = baseline.get("run_join")
+    if not isinstance(base_join, dict):
+        return failures  # baseline predates the section
+    fresh_join = section(report, "run_join", "bench_ablation_intersection")
+    for bucket in RUN_JOIN_BUCKETS:
+        for field in RUN_JOIN_EXACT_FIELDS:
+            want = base_join.get(bucket, {}).get(field)
+            got = fresh_join.get(bucket, {}).get(field)
+            if got != want:
+                failures.append(
+                    f"run_join.{bucket}.{field}: fresh run {got!r} != "
+                    f"baseline {want!r}")
     return failures
 
 
@@ -454,6 +481,12 @@ def check_intersect_perf(report, near_floor, gallop_floor):
                 f"{bucket} ({b['kernel']}, {fresh['dispatch_level']}): "
                 f"simd {b['simd_mvs']:.1f} Mv/s is {b['speedup']:.2f}x "
                 f"scalar {b['scalar_mvs']:.1f} Mv/s (floor {floor:.1f}x)")
+    b = section(report, "run_join", "bench_ablation_intersection")["ratio_8"]
+    if b["speedup"] < RUN_JOIN_FLOOR:
+        failures.append(
+            f"run_join.ratio_8 ({fresh['dispatch_level']}): simd windows "
+            f"{b['simd_qps']:.0f} qps are {b['speedup']:.2f}x the scalar "
+            f"merge's {b['scalar_qps']:.0f} (floor {RUN_JOIN_FLOOR:.1f}x)")
     return failures
 
 
@@ -1008,7 +1041,13 @@ def _intersect_report(dispatch_level="avx2", **overrides):
     for key, value in overrides.items():
         bucket, field = key.rsplit("_", 1)
         sec[bucket][field] = value
-    return {"intersect_kernels": sec}
+    run_join = {}
+    for ratio in (1, 8, 64):
+        run_join[f"ratio_{ratio}"] = {
+            "ratio": ratio, "run_size": 1000 // ratio, "list_size": 1000,
+            "result": 300 // ratio, "scalar_qps": 100.0, "simd_qps": 150.0,
+            "speedup": 1.5}
+    return {"intersect_kernels": sec, "run_join": run_join}
 
 
 def test_intersect_passes_on_good_report():
@@ -1024,6 +1063,27 @@ def test_intersect_fails_below_speedup_floors():
     fails = check_intersect_perf(
         _intersect_report(ratio_4096_speedup=1.5), 1.3, 2.0)
     assert any("ratio_4096" in f for f in fails), fails
+
+
+def test_intersect_fails_below_run_join_floor():
+    report = _intersect_report()
+    report["run_join"]["ratio_8"]["speedup"] = 0.9
+    fails = check_intersect_perf(report, 1.3, 2.0)
+    assert any("run_join.ratio_8" in f and "floor" in f for f in fails), fails
+    # A scalar build runs the same kernels on both arms: no floor.
+    report["intersect_kernels"]["dispatch_level"] = "scalar"
+    assert check_intersect_perf(report, 1.3, 2.0) == []
+
+
+def test_intersect_exact_flags_run_join_drift():
+    base = _intersect_report()
+    drift = _intersect_report()
+    drift["run_join"]["ratio_8"]["result"] = 38
+    fails = check_intersect_exact(drift, base)
+    assert any("run_join.ratio_8.result" in f for f in fails), fails
+    # A baseline without the section predates it.
+    del base["run_join"]
+    assert check_intersect_exact(drift, base) == []
 
 
 def test_intersect_scalar_build_skips_speedup_floors():
